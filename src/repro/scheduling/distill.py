@@ -38,7 +38,7 @@ import numpy as np
 from repro.obs.explain import DecisionLog
 from repro.scheduling.problem import QueryRequest, SchedulingInstance
 from repro.scheduling.subsets import mask_tables
-from repro.trees.gbdt import GradientBoostingRegressor
+from repro.trees.gbdt import GradientBoostingRegressor, pack_regressors
 
 __all__ = [
     "BUSY_CLAMP",
@@ -337,13 +337,20 @@ class _BitsGBDT:
     predicted value approximates the bit probability). Keeping one
     binary head per model instead of a ``2**m``-class classifier is
     what makes serving O(models): prediction cost grows linearly in
-    ensemble size, never exponentially.
+    ensemble size, never exponentially. All heads are packed into one
+    :class:`~repro.trees.forest.PackedForest`, so a call scores every
+    head's trees in one vectorised pass.
     """
 
     kind = "gbdt"
 
     def __init__(self, models: Sequence[GradientBoostingRegressor]):
         self.models = list(models)
+        self._forest = pack_regressors(self.models)
+
+    @property
+    def n_features(self) -> int:
+        return self._forest.n_features
 
     @classmethod
     def fit(
@@ -367,11 +374,7 @@ class _BitsGBDT:
         return cls(models)
 
     def predict_bits(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], len(self.models)))
-        for k, model in enumerate(self.models):
-            out[:, k] = model.predict(X)
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(self._forest.predict(X), 0.0, 1.0)
 
 
 class _BitsMLP:
@@ -382,6 +385,10 @@ class _BitsMLP:
 
     def __init__(self, model):
         self.model = model
+
+    @property
+    def n_features(self) -> int:
+        return self.model.in_features
 
     @classmethod
     def fit(

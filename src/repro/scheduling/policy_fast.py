@@ -52,7 +52,6 @@ from repro.scheduling.problem import (
     ScheduleResult,
     SchedulingInstance,
 )
-from repro.trees.decision_tree import DecisionTreeRegressor, _Node
 from repro.trees.gbdt import GradientBoostingRegressor
 
 __all__ = ["PolicyModel", "LearnedScheduler", "rollout_plan"]
@@ -64,65 +63,11 @@ _SCHEMA = "repro.policy_model.v1"
 
 # --- artifact serialization ----------------------------------------------
 
-def _node_to_dict(node: _Node) -> Dict[str, object]:
-    if node.is_leaf:
-        return {"v": node.value}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _node_to_dict(node.left),
-        "r": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(state: Dict[str, object]) -> _Node:
-    if "v" in state:
-        return _Node(value=float(state["v"]))
-    return _Node(
-        feature=int(state["f"]),
-        threshold=float(state["t"]),
-        left=_node_from_dict(state["l"]),
-        right=_node_from_dict(state["r"]),
-    )
-
-
-def _tree_to_dict(tree: DecisionTreeRegressor) -> Dict[str, object]:
-    return {
-        "n_features": tree.n_features_,
-        "root": _node_to_dict(tree._root),
-    }
-
-
-def _tree_from_dict(state: Dict[str, object]) -> DecisionTreeRegressor:
-    tree = DecisionTreeRegressor()
-    tree.n_features_ = int(state["n_features"])
-    tree._root = _node_from_dict(state["root"])
-    return tree
-
-
-def _gbr_to_dict(model: GradientBoostingRegressor) -> Dict[str, object]:
-    return {
-        "base": model._base,
-        "learning_rate": model.learning_rate,
-        "trees": [_tree_to_dict(tree) for tree in model._trees],
-    }
-
-
-def _gbr_from_dict(state: Dict[str, object]) -> GradientBoostingRegressor:
-    model = GradientBoostingRegressor(
-        n_estimators=max(1, len(state["trees"])),
-        learning_rate=float(state["learning_rate"]),
-    )
-    model._base = float(state["base"])
-    model._trees = [_tree_from_dict(t) for t in state["trees"]]
-    return model
-
-
 def _bits_model_to_dict(bits_model) -> Dict[str, object]:
     if bits_model.kind == "gbdt":
         return {
             "kind": "gbdt",
-            "models": [_gbr_to_dict(m) for m in bits_model.models],
+            "models": [m.to_dict() for m in bits_model.models],
         }
     if bits_model.kind == "mlp":
         params = bits_model.model.network.parameters()
@@ -143,7 +88,9 @@ def _bits_model_to_dict(bits_model) -> Dict[str, object]:
 def _bits_model_from_dict(state: Dict[str, object]):
     kind = state["kind"]
     if kind == "gbdt":
-        return _BitsGBDT([_gbr_from_dict(m) for m in state["models"]])
+        return _BitsGBDT([
+            GradientBoostingRegressor.from_dict(m) for m in state["models"]
+        ])
     if kind == "mlp":
         from repro.nn.models import MLPRegressor
 
@@ -211,6 +158,16 @@ class PolicyModel:
             raise ValueError(
                 "regret_feature_names do not match the locked schema"
             )
+        for head, width, schema in (
+            ("bits model", self.bits_model.n_features, expected),
+            ("regret model", self.regret_model.n_features_,
+             REGRET_FEATURE_NAMES),
+        ):
+            if width != len(schema):
+                raise ValueError(
+                    f"{head} reads {width} features, the locked schema "
+                    f"has {len(schema)}"
+                )
 
     @property
     def kind(self) -> str:
@@ -236,7 +193,7 @@ class PolicyModel:
             "feature_names": list(self.feature_names),
             "regret_feature_names": list(self.regret_feature_names),
             "bits_model": _bits_model_to_dict(self.bits_model),
-            "regret_model": _gbr_to_dict(self.regret_model),
+            "regret_model": self.regret_model.to_dict(),
             "metadata": self.metadata,
         }
 
@@ -252,7 +209,9 @@ class PolicyModel:
             feature_names=list(state["feature_names"]),
             regret_feature_names=list(state["regret_feature_names"]),
             bits_model=_bits_model_from_dict(state["bits_model"]),
-            regret_model=_gbr_from_dict(state["regret_model"]),
+            regret_model=GradientBoostingRegressor.from_dict(
+                state["regret_model"]
+            ),
             metadata=dict(state.get("metadata", {})),
         )
 
@@ -265,7 +224,13 @@ class PolicyModel:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PolicyModel":
-        """Load an artifact written by :meth:`save`."""
+        """Load an artifact written by :meth:`save`.
+
+        Raises ``ValueError`` on a malformed artifact (wrong schema tag,
+        a head whose width differs from the locked feature schema, or a
+        malformed tree; see
+        :meth:`~repro.trees.decision_tree.DecisionTreeRegressor.from_dict`).
+        """
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 

@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.trees.forest import PackedForest
 
-@dataclass
-class _Node:
-    """A tree node; leaves have ``value`` set, internal nodes a split."""
+#: Child index (and feature index) stored on leaves.
+_LEAF = -1
 
-    value: Optional[float] = None
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
+#: One node while a tree is built: ``(feature, threshold, left, right,
+#: value)``, in preorder.
+_NodeRow = Tuple[int, float, int, int, float]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+
+def _finite(what: str, raw: object) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
 
 
 class DecisionTreeRegressor:
@@ -29,6 +30,12 @@ class DecisionTreeRegressor:
     Split candidates are quantiles of each feature rather than every
     distinct value, which keeps fitting fast on the residual targets that
     gradient boosting produces while losing essentially no quality.
+
+    The fitted tree is five flat node arrays in preorder, root at 0:
+    ``feature_``, ``threshold_``, ``left_``, ``right_`` and ``value_``. A
+    row goes left at a split when ``x[feature] <= threshold`` (so NaN
+    goes right); leaves have ``feature``, ``left`` and ``right`` set to
+    -1 and carry the prediction in ``value`` (0.0 on splits).
     """
 
     def __init__(
@@ -46,8 +53,12 @@ class DecisionTreeRegressor:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
-        self._root: Optional[_Node] = None
         self.n_features_: Optional[int] = None
+        self.feature_: Optional[np.ndarray] = None
+        self.threshold_: Optional[np.ndarray] = None
+        self.left_: Optional[np.ndarray] = None
+        self.right_: Optional[np.ndarray] = None
+        self.value_: Optional[np.ndarray] = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Grow the tree on features ``x`` and real targets ``y``."""
@@ -61,27 +72,40 @@ class DecisionTreeRegressor:
             )
         if x.shape[0] == 0:
             raise ValueError("cannot fit a tree on zero samples")
-        self.n_features_ = x.shape[1]
-        self._root = self._grow(x, y, depth=0)
+        nodes: List[_NodeRow] = []
+        self._grow(x, y, depth=0, nodes=nodes)
+        self._set_nodes(x.shape[1], nodes)
         return self
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        if (
+    def _set_nodes(self, n_features: int, nodes: List[_NodeRow]) -> None:
+        feature, threshold, left, right, value = zip(*nodes)
+        self.n_features_ = n_features
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold, dtype=float)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.array(value, dtype=float)
+
+    def _grow(
+        self, x: np.ndarray, y: np.ndarray, depth: int, nodes: List[_NodeRow]
+    ) -> int:
+        index = len(nodes)
+        nodes.append(None)
+        split = None
+        if not (
             depth >= self.max_depth
             or y.shape[0] < 2 * self.min_samples_leaf
             or np.allclose(y, y[0])
         ):
-            return _Node(value=float(y.mean()))
-        split = self._best_split(x, y)
+            split = self._best_split(x, y)
         if split is None:
-            return _Node(value=float(y.mean()))
+            nodes[index] = (_LEAF, 0.0, _LEAF, _LEAF, float(y.mean()))
+            return index
         feature, threshold, mask = split
-        return _Node(
-            feature=feature,
-            threshold=threshold,
-            left=self._grow(x[mask], y[mask], depth + 1),
-            right=self._grow(x[~mask], y[~mask], depth + 1),
-        )
+        left = self._grow(x[mask], y[mask], depth + 1, nodes)
+        right = self._grow(x[~mask], y[~mask], depth + 1, nodes)
+        nodes[index] = (feature, threshold, left, right, 0.0)
+        return index
 
     def _best_split(self, x: np.ndarray, y: np.ndarray):
         """Return ``(feature, threshold, left_mask)`` minimising SSE."""
@@ -114,29 +138,79 @@ class DecisionTreeRegressor:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf-mean prediction for each row of ``x``."""
-        if self._root is None:
+        if self.value_ is None:
             raise RuntimeError("predict called before fit")
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_features_:
-            raise ValueError(
-                f"x must have shape (n, {self.n_features_}), got {x.shape}"
-            )
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        # -0.0 is the additive identity, so the lone head returns the
+        # leaf values unchanged.
+        return PackedForest([(-0.0, 1.0, [self])]).predict(x)[:, 0]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-
-        def walk(node: Optional[_Node]) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
+        if self.value_ is None:
             raise RuntimeError("depth called before fit")
-        return walk(self._root)
+        level, depth = np.zeros(1, dtype=np.intp), 0
+        while True:
+            level = level[self.left_[level] != _LEAF]
+            if level.size == 0:
+                return depth
+            level = np.concatenate((self.left_[level], self.right_[level]))
+            depth += 1
+
+    def to_dict(self) -> Dict[str, object]:
+        """The tree as nested JSON-ready dicts: ``{"n_features", "root"}``,
+        with splits ``{"f", "t", "l", "r"}`` and leaves ``{"v"}``."""
+        if self.value_ is None:
+            raise RuntimeError("to_dict called before fit")
+
+        def node(i: int) -> Dict[str, object]:
+            if self.left_[i] == _LEAF:
+                return {"v": float(self.value_[i])}
+            return {
+                "f": int(self.feature_[i]),
+                "t": float(self.threshold_[i]),
+                "l": node(self.left_[i]),
+                "r": node(self.right_[i]),
+            }
+
+        return {"n_features": self.n_features_, "root": node(0)}
+
+    @classmethod
+    def from_dict(cls, state: Dict[str, object]) -> "DecisionTreeRegressor":
+        """Rebuild a tree written by :meth:`to_dict`.
+
+        Raises ``ValueError`` when the tree is malformed: ``n_features``
+        below 1, a split missing a child (or its feature or threshold),
+        a split feature outside ``[0, n_features)``, or a non-finite
+        threshold or leaf value.
+        """
+        n_features = int(state["n_features"])
+        if n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {n_features}")
+        nodes: List[_NodeRow] = []
+
+        def add(node: Dict[str, object]) -> int:
+            index = len(nodes)
+            nodes.append(None)
+            if "v" in node:
+                value = _finite(f"leaf {index} value", node["v"])
+                nodes[index] = (_LEAF, 0.0, _LEAF, _LEAF, value)
+                return index
+            missing = sorted({"f", "t", "l", "r"} - set(node))
+            if missing:
+                raise ValueError(f"split node {index} lacks {missing}")
+            feature = int(node["f"])
+            if not 0 <= feature < n_features:
+                raise ValueError(
+                    f"split node {index} reads feature {feature}, outside "
+                    f"[0, {n_features})"
+                )
+            threshold = _finite(f"split node {index} threshold", node["t"])
+            left = add(node["l"])
+            right = add(node["r"])
+            nodes[index] = (feature, threshold, left, right, 0.0)
+            return index
+
+        add(state["root"])
+        tree = cls()
+        tree._set_nodes(n_features, nodes)
+        return tree

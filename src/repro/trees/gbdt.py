@@ -8,12 +8,13 @@ terms that do not matter at this scale).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.functional import one_hot, softmax
-from repro.trees.decision_tree import DecisionTreeRegressor
+from repro.trees.decision_tree import DecisionTreeRegressor, _finite
+from repro.trees.forest import PackedForest
 from repro.utils.validation import check_in_range, check_positive
 
 
@@ -33,6 +34,12 @@ class GradientBoostingRegressor:
         self.min_samples_leaf = min_samples_leaf
         self._trees: List[DecisionTreeRegressor] = []
         self._base: float = 0.0
+        self._forest: Optional[PackedForest] = None
+
+    @property
+    def n_features_(self) -> Optional[int]:
+        """Feature count the fitted trees read (None before fit)."""
+        return None if self._forest is None else self._forest.n_features
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
         """Fit additive trees to least-squares residuals."""
@@ -48,17 +55,51 @@ class GradientBoostingRegressor:
             ).fit(x, residual)
             current += self.learning_rate * tree.predict(x)
             self._trees.append(tree)
+        self._forest = pack_regressors([self])
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Sum of the base score and all shrunken tree outputs."""
-        if not self._trees:
+        if self._forest is None:
             raise RuntimeError("predict called before fit")
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape[0], self._base)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(x)
-        return out
+        return self._forest.predict(x)[:, 0]
+
+    def to_dict(self) -> Dict[str, object]:
+        """The fitted model as JSON-ready dicts (see
+        :meth:`DecisionTreeRegressor.to_dict` for the trees)."""
+        if self._forest is None:
+            raise RuntimeError("to_dict called before fit")
+        return {
+            "base": self._base,
+            "learning_rate": self.learning_rate,
+            "trees": [tree.to_dict() for tree in self._trees],
+        }
+
+    @classmethod
+    def from_dict(cls, state: Dict[str, object]) -> "GradientBoostingRegressor":
+        """Rebuild a model written by :meth:`to_dict`; raises
+        ``ValueError`` on a non-finite base, an out-of-range learning
+        rate, no trees, trees that disagree on their feature count, or
+        a malformed tree (:meth:`DecisionTreeRegressor.from_dict`)."""
+        base = _finite("base", state["base"])
+        model = cls(
+            n_estimators=max(1, len(state["trees"])),
+            learning_rate=float(state["learning_rate"]),
+        )
+        model._base = base
+        model._trees = [
+            DecisionTreeRegressor.from_dict(tree) for tree in state["trees"]
+        ]
+        model._forest = pack_regressors([model])
+        return model
+
+
+def pack_regressors(models: Sequence[GradientBoostingRegressor]) -> PackedForest:
+    """One packed forest whose ``k``-th head is ``models[k]``: column
+    ``k`` of its ``predict`` equals ``models[k].predict`` bit for bit."""
+    return PackedForest(
+        [(model._base, model.learning_rate, model._trees) for model in models]
+    )
 
 
 class GradientBoostingClassifier:
@@ -75,8 +116,10 @@ class GradientBoostingClassifier:
         self.learning_rate = check_in_range("learning_rate", learning_rate, 0.0, 1.0)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self._rounds: List[List[DecisionTreeRegressor]] = []
         self._prior: Optional[np.ndarray] = None
+        #: ``_trees[k]`` holds class ``k``'s trees, one per round.
+        self._trees: List[List[DecisionTreeRegressor]] = []
+        self._forest: Optional[PackedForest] = None
         self.num_classes_: Optional[int] = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostingClassifier":
@@ -95,31 +138,28 @@ class GradientBoostingClassifier:
         counts = targets.mean(axis=0).clip(1e-6, None)
         self._prior = np.log(counts)
         scores = np.tile(self._prior, (x.shape[0], 1))
-        self._rounds = []
+        self._trees = [[] for _ in range(self.num_classes_)]
         for _ in range(self.n_estimators):
             probs = softmax(scores)
             gradient = targets - probs
-            round_trees: List[DecisionTreeRegressor] = []
             for k in range(self.num_classes_):
                 tree = DecisionTreeRegressor(
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                 ).fit(x, gradient[:, k])
                 scores[:, k] += self.learning_rate * tree.predict(x)
-                round_trees.append(tree)
-            self._rounds.append(round_trees)
+                self._trees[k].append(tree)
+        self._forest = PackedForest([
+            (prior, self.learning_rate, trees)
+            for prior, trees in zip(self._prior, self._trees)
+        ])
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         """Raw per-class scores (log-prior plus tree contributions)."""
-        if self._prior is None:
+        if self._forest is None:
             raise RuntimeError("predict called before fit")
-        x = np.asarray(x, dtype=float)
-        scores = np.tile(self._prior, (x.shape[0], 1))
-        for round_trees in self._rounds:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * tree.predict(x)
-        return scores
+        return self._forest.predict(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-probability matrix via softmax over the scores."""

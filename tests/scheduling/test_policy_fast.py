@@ -2,10 +2,13 @@
 artifact round-trip."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.experiments.runner import RunSpec, run_spec
+from repro.obs.explain import DecisionLog
 from repro.scheduling.distill import REGRET_FEATURE_NAMES, distill_policy
 from repro.scheduling.dp import DPScheduler
 from repro.scheduling.policy_fast import LearnedScheduler, PolicyModel
@@ -16,6 +19,13 @@ from tests.scheduling._synthetic import (
     synthetic_instance,
     synthetic_log,
     synthetic_utilities,
+)
+
+#: The frozen text_matching policy ``bench_policy_distill.py`` distils
+#: (``perfbench/`` serves a sha256-pinned copy of it).
+ARTIFACT = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "results" / "policy_text_matching.json"
 )
 
 
@@ -152,6 +162,29 @@ class TestArtifactRoundTrip:
         )
         feats = rng.normal(size=len(REGRET_FEATURE_NAMES))
         assert loaded.predict_regret(feats) == model3.predict_regret(feats)
+        again = loaded.save(tmp_path / "again.json")
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_committed_artifact_resaves_byte_identical(self, tmp_path):
+        path = PolicyModel.load(ARTIFACT).save(tmp_path / "policy.json")
+        assert path.read_bytes() == ARTIFACT.read_bytes()
+
+    def test_redistilling_reproduces_committed_artifact(
+        self, tm_setup, tmp_path
+    ):
+        # The recipe of bench_policy_distill.run_e2e (full mode): fitting
+        # and serialization must stay bit-exact for the frozen artifact.
+        log = DecisionLog()
+        run_spec(
+            tm_setup,
+            RunSpec(policy="schemble", duration=30.0, seed=5, scheduler="dp"),
+            explain=log,
+        )
+        model = distill_policy(
+            log, tm_setup.latencies, tm_setup.schemble.utilities, seed=0
+        )
+        path = model.save(tmp_path / "policy.json")
+        assert path.read_bytes() == ARTIFACT.read_bytes()
 
     def test_loaded_scheduler_matches_original(self, model3, tmp_path):
         loaded = PolicyModel.load(model3.save(tmp_path / "policy.json"))
@@ -171,4 +204,76 @@ class TestArtifactRoundTrip:
         state["schema"] = "repro.policy_model.v0"
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="schema"):
+            PolicyModel.load(path)
+
+
+def _first_leaf(node):
+    while "v" not in node:
+        node = node["l"]
+    return node
+
+
+def _bit_tree(state):
+    return state["bits_model"]["models"][0]["trees"][0]
+
+
+def _widen(models):
+    for model in models:
+        for tree in model["trees"]:
+            tree["n_features"] += 1
+
+
+_CORRUPTIONS = {
+    # A -1 split feature used to read the last feature (headroom_m2).
+    "negative feature": (
+        lambda s: _bit_tree(s)["root"].update(f=-1), "outside"
+    ),
+    "feature past the width": (
+        lambda s: _bit_tree(s)["root"].update(f=_bit_tree(s)["n_features"]),
+        "outside",
+    ),
+    "one tree's width differs": (
+        lambda s: _bit_tree(s).update(n_features=11), "disagree"
+    ),
+    "bit heads wider than the schema": (
+        lambda s: _widen(s["bits_model"]["models"]), "locked schema"
+    ),
+    "regret head wider than the schema": (
+        lambda s: _widen([s["regret_model"]]), "locked schema"
+    ),
+    "split without a right child": (
+        lambda s: _bit_tree(s)["root"].pop("r"), "lacks"
+    ),
+    "split without a left child": (
+        lambda s: s["regret_model"]["trees"][3]["root"].pop("l"), "lacks"
+    ),
+    "NaN leaf": (
+        lambda s: _first_leaf(_bit_tree(s)["root"]).update(v=float("nan")),
+        "finite",
+    ),
+    "infinite threshold": (
+        lambda s: s["regret_model"]["trees"][0]["root"].update(
+            t=float("inf")
+        ),
+        "finite",
+    ),
+    "NaN base": (
+        lambda s: s["bits_model"]["models"][2].update(base=float("nan")),
+        "finite",
+    ),
+}
+
+
+class TestArtifactValidation:
+    """Malformed artifacts are refused at load, not at the first
+    scheduling call inside the serving loop."""
+
+    @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+    def test_corrupted_artifact_rejected(self, case, tmp_path):
+        corrupt, message = _CORRUPTIONS[case]
+        state = json.loads(ARTIFACT.read_text())
+        corrupt(state)
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match=message):
             PolicyModel.load(path)
