@@ -19,8 +19,7 @@ Three checks on a diurnal-trace workload:
   no plan at all (same spirit as ``bench_obs_overhead.py``: the fault
   subsystem only acts when asked).
 * **Fault-path identity** — a ``task_timeout`` no execution can hit
-  engages the fault-mode event loop without changing any outcome; the
-  records must still match the plain path.
+  changes no outcome; the records must still match the plain run.
 
 Results go to ``benchmarks/results/BENCH_faults.json``.
 """

@@ -1,9 +1,8 @@
 """Clustering substrate (k-means) used by dynamic ensemble selection.
 
-Renamed from ``repro.cluster`` so the serving-fleet namespace
+Named ``clustering`` so the serving-fleet namespace
 (:mod:`repro.fleet`) is unambiguous: this package is the DES
-clustering substrate, not a serving cluster. ``repro.cluster`` still
-works as a deprecation shim re-exporting :class:`KMeans`.
+clustering substrate, not a serving cluster.
 """
 
 from repro.clustering.kmeans import KMeans

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -253,14 +252,11 @@ def run_policy(
     config: Optional[ServerConfig] = None,
     tracer=None,
     explain=None,
-    allow_rejection: Optional[bool] = None,
-    max_buffer: Optional[int] = None,
 ) -> ServingResult:
     """Serve ``workload`` with ``policy`` on the task's deployment.
 
     Server behaviour (buffering, rejection, fault injection, timeouts)
-    comes from ``config``; the bare ``allow_rejection``/``max_buffer``
-    keywords are a deprecated shim for the pre-config call shape.
+    comes from ``config``.
 
     Pass a :class:`~repro.obs.tracer.RecordingTracer` as ``tracer`` to
     collect the run's span stream and metrics, and/or a
@@ -268,25 +264,6 @@ def run_policy(
     per-query scheduler decision records (the default NullTracer keeps
     the run untouched).
     """
-    if allow_rejection is not None or max_buffer is not None:
-        if config is not None:
-            raise TypeError(
-                "pass either config= or the deprecated "
-                "allow_rejection=/max_buffer= keywords, not both"
-            )
-        warnings.warn(
-            "run_policy(allow_rejection=..., max_buffer=...) is "
-            "deprecated and will be removed in v2.0; pass "
-            "config=ServerConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = ServerConfig(
-            allow_rejection=(
-                True if allow_rejection is None else allow_rejection
-            ),
-            max_buffer=16 if max_buffer is None else max_buffer,
-        )
     if config is None:
         config = ServerConfig()
     name = policy_name or policy.name

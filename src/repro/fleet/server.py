@@ -538,11 +538,6 @@ class FleetServer:
             )
             for shard in range(n_shards)
         ]
-        if any(server._faulty for server in servers):
-            raise ValueError(
-                "controlled mode requires fault-free shard configs "
-                "(replica scaling drives the reliable worker pool)"
-            )
         sessions = [server.session() for server in servers]
 
         # Fluid front-end state, capacity-aware: an admitted query's

@@ -30,7 +30,7 @@ ENTER_BUFFER = "enter_buffer"  # query joined the scheduling buffer
 SCHEDULE = "schedule"          # scheduler invoked over a buffer snapshot
 COMMIT = "commit"              # a scheduler plan committed (post-overhead)
 PLAN = "plan"                  # subset chosen for one query (size attr)
-DISPATCH = "dispatch"          # one model task handed to a worker
+DISPATCH = "dispatch"          # a task starts executing on a worker
 TASK_DONE = "task_done"        # one model task finished
 COMPLETE = "complete"          # all of a query's tasks finished
 REJECT = "reject"              # query will never be served

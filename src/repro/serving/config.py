@@ -36,9 +36,9 @@ class ServerConfig:
         max_buffer: Largest buffer slice handed to the scheduler at once.
         overhead_base: Fixed per-invocation scheduling delay (seconds).
         overhead_per_unit: Scheduling delay per scheduler work unit.
-        faults: Fault plan to inject; ``None`` (or a null plan) keeps
-            the reliable event loop byte-identical to the fault-free
-            server.
+        faults: Fault plan to inject. ``None`` or a null plan draws
+            nothing and schedules no fault events, so the run computes
+            exactly the reliable model's numbers.
         task_timeout: Per-task watchdog (seconds). A task still running
             ``task_timeout`` after its start is abandoned (the
             non-preemptive worker keeps grinding, but the server stops
@@ -86,14 +86,6 @@ class ServerConfig:
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
         check_positive("retry_backoff", self.retry_backoff, allow_zero=True)
-
-    @property
-    def fault_free(self) -> bool:
-        """True when the config needs none of the fault machinery."""
-        return (
-            (self.faults is None or self.faults.is_null)
-            and self.task_timeout is None
-        )
 
     def replace(self, **changes) -> "ServerConfig":
         """A validated copy with ``changes`` applied."""

@@ -13,19 +13,24 @@ of wall-clock time before its plan commits, so an over-fine quantisation
 step (δ = 0.001 in Exp-4) pays for its own table size.
 
 Construction goes through a frozen :class:`ServerConfig` (see
-``serving/config.py``); the old per-knob keyword arguments still work
-behind a :class:`DeprecationWarning` shim.
+``serving/config.py``).
 
-Fault injection breaks the paper's reliability assumption on purpose:
-with an active :class:`~repro.faults.plan.FaultPlan` the event loop
-switches to queue-tracking workers and reacts to injected jitter,
-transient failures, timeouts and crash windows with bounded retries,
-failover re-planning (revoked commitments re-dispatched onto live
+Every worker keeps an explicit FIFO of task attempts plus one float,
+``free_time``: the tail of its committed work. Enqueueing advances it
+with the paper's arithmetic (``start = max(free_time, now)``, then
+``free_time = start + latency``), and placement, the busy-time vector,
+the rejection estimate and the idle checks all read it. Fault injection
+breaks the reliability assumption on purpose: an active
+:class:`~repro.faults.plan.FaultPlan` draws jitter and transient
+failures at task start and schedules crash windows, and the same loop
+reacts with timeouts, bounded retries, failover re-planning (a crash
+revokes the worker's queued commitments and re-places them onto live
 siblings) and graceful degradation — a query whose tasks partially
 failed is still answered from the executed subset (KNN filling +
 stacking make the partial answer meaningful) instead of being dropped.
-With a null plan the fault machinery is bypassed entirely and the loop
-is event-for-event identical to the reliable server.
+Only an injected draw or a crash corrects ``free_time``, and a null
+plan schedules no fault events, so a fault-free run computes exactly
+the reliable model's numbers.
 
 Every event-loop branch can emit a query-lifecycle span through the
 server's :class:`~repro.obs.tracer.Tracer`. The default ``NULL_TRACER``
@@ -42,9 +47,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -76,36 +81,12 @@ class WorkerSpec:
         check_positive("latency", self.latency)
 
 
-class _Worker:
-    """Reliable-path worker state: a FIFO accumulator of committed work.
-
-    Only used when the config is fault-free; its single ``free_time``
-    float is what makes availability exactly predictable.
-    """
-
-    __slots__ = ("spec", "free_time", "wid", "retired")
-
-    def __init__(self, spec: WorkerSpec, wid: int = 0):
-        self.spec = spec
-        self.free_time = 0.0
-        self.wid = wid
-        # Set by retire_replica_set(): a retired worker finishes its
-        # committed work but is excluded from all placement decisions.
-        self.retired = False
-
-    def assign(self, now: float) -> float:
-        """Append one task; returns its completion time."""
-        start = max(self.free_time, now)
-        self.free_time = start + self.spec.latency
-        return self.free_time
-
-
 class _Task:
-    """One model execution attempt under fault injection."""
+    """One model execution attempt."""
 
     __slots__ = (
-        "query_id", "model_index", "attempt", "worker",
-        "start", "finish", "fails", "state", "enqueued",
+        "query_id", "model_index", "attempt", "worker", "fails", "state",
+        "enqueued",
     )
 
     def __init__(self, query_id: int, model_index: int, attempt: int = 0):
@@ -113,60 +94,59 @@ class _Task:
         self.model_index = model_index
         self.attempt = attempt
         self.worker = -1
-        self.start = 0.0
-        self.finish = 0.0
         self.fails = False
         self.state = "queued"  # queued | running | done | abandoned | killed
         self.enqueued = 0.0  # when this attempt last joined a queue
 
 
-class _FaultWorker:
-    """Fault-path worker state: an explicit task queue so commitments
-    can be revoked when the worker crashes mid-buffer."""
+class _Worker:
+    """One deployed model instance's run state: a non-preemptive FIFO.
 
-    __slots__ = ("spec", "wid", "queue", "current", "down", "resume_at")
+    ``free_time`` is when the last committed task is expected to
+    finish. A down worker (crashed, or provisioning until
+    ``resume_at``) keeps its queue but starts nothing; a retired one
+    drains its queue but takes no new work.
+    """
 
-    def __init__(self, spec: WorkerSpec, wid: int):
+    __slots__ = (
+        "spec", "wid", "queue", "current", "down", "resume_at",
+        "free_time", "retired",
+    )
+
+    def __init__(self, spec: WorkerSpec, wid: int, ready: float = 0.0):
         self.spec = spec
         self.wid = wid
         self.queue: deque = deque()
         self.current: Optional[_Task] = None
         self.down = False
-        self.resume_at = 0.0
-
-    def idle(self) -> bool:
-        return not self.down and self.current is None and not self.queue
-
-    def available_at(self, now: float) -> float:
-        """Expected time this worker could finish one more task's start:
-        recovery + in-flight remainder + queued base latencies. Under
-        jitter this is an *estimate* — exactly the uncertainty the
-        paper's model excludes."""
-        t = max(now, self.resume_at) if self.down else now
-        if self.current is not None:
-            t = max(t, self.current.finish)
-        return t + self.spec.latency * len(self.queue)
+        self.resume_at = ready
+        self.free_time = ready
+        self.retired = False
 
 
-# Event kinds, ordered so ties at equal time resolve sensibly:
-# completions release capacity before new work is planned, and the
-# scheduler only runs after every same-instant arrival has joined the
-# buffer (so a burst is planned as a batch, not one query at a time).
-_TASK_DONE = 0
-_COMMIT = 1
-_ARRIVAL = 2
-_ENTER_BUFFER = 3
-_SCHEDULE = 4
-# Fault-path events (never scheduled under a null plan).
-_WORKER_DOWN = 5
-_WORKER_UP = 6
-_TASK_END = 7
-_TASK_TIMEOUT = 8
-_RETRY = 9
+_free_time = attrgetter("free_time")
+
+# Event kinds. Heap entries are ``(time, seq, kind, payload)`` with a
+# unique, increasing ``seq``, so events at equal times run in push
+# order and ``kind`` is never compared. The loop relies on that: the
+# same-time _SCHEDULE an _ENTER_BUFFER pushes runs after every arrival
+# already queued for that instant (a burst offered up front is planned
+# as one batch), and a completion's follow-up planning runs inside its
+# own _TASK_END handler, after the worker was released.
+_ARRIVAL = 0
+_ENTER_BUFFER = 1
+_SCHEDULE = 2
+_COMMIT = 3
+_TASK_END = 4
+_TASK_TIMEOUT = 5
+_RETRY = 6
+_WORKER_DOWN = 7
+_WORKER_UP = 8
+_READY = 9
 
 
 class EnsembleServer:
-    """Simulates one serving run of a policy over a workload.
+    """Simulates serving runs of a policy over a workload.
 
     Args:
         latencies: Per-base-model inference time (seconds).
@@ -187,32 +167,19 @@ class EnsembleServer:
             realized finish). ``None`` (the default) keeps the serving
             loop on the unexplained path: results stay bit-identical
             and no capture code runs.
-
-    The old per-knob call shape
-    (``EnsembleServer(lat, policy, workers, allow_rejection=...,
-    max_buffer=..., overhead_base=..., overhead_per_unit=...)``) still
-    works but emits a :class:`DeprecationWarning`; new code should build
-    a :class:`ServerConfig` and use :meth:`from_config` or the
-    ``config=`` keyword.
     """
-
-    _LEGACY_KNOBS = (
-        "allow_rejection", "max_buffer", "overhead_base", "overhead_per_unit"
-    )
 
     def __init__(
         self,
         latencies: Sequence[float],
         policy: ServingPolicy,
         workers: Optional[Sequence[WorkerSpec]] = None,
-        *legacy_args,
+        *,
         config: Optional[ServerConfig] = None,
         tracer: Optional[Tracer] = None,
         explain: Optional[DecisionLog] = None,
-        **legacy_kwargs,
     ):
-        config = self._resolve_config(config, legacy_args, legacy_kwargs)
-        self.config = config
+        self.config = config if config is not None else ServerConfig()
         self.explain = explain
         self.latencies = np.asarray(latencies, dtype=float)
         if self.latencies.ndim != 1 or np.any(self.latencies <= 0):
@@ -224,34 +191,18 @@ class EnsembleServer:
                 for k, t in enumerate(self.latencies)
             ]
         self._worker_specs = list(workers)
-        self._workers = [
-            _Worker(spec, wid) for wid, spec in enumerate(self._worker_specs)
-        ]
-        # Control-plane actuation state (see add_replica_set /
-        # retire_replica_set / set_cheap_mask): replica sets added
-        # mid-run, LIFO, and the degraded-quality plan clamp. Reset by
-        # every new session so run() stays reproducible.
-        self._extra_sets: List[List[_Worker]] = []
-        self._cheap_mask: Optional[int] = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace = self.tracer.enabled
-        self._profile = self._trace and self.tracer.profile
-        self._sched_wall = 0.0
         deployed = {w.model_index for w in self._worker_specs}
         if not deployed.issubset(range(self.latencies.shape[0])):
             raise ValueError("worker references an unknown model index")
-        self._faulty = not config.fault_free
-        if config.faults is not None:
-            for window in config.faults.downtime:
+        if self.config.faults is not None:
+            for window in self.config.faults.downtime:
                 if window.worker >= len(self._worker_specs):
                     raise ValueError(
                         f"fault plan references worker {window.worker}, "
                         f"deployment has {len(self._worker_specs)}"
                     )
-        # Per-run fault state (populated by run() in fault mode).
-        self._injector: Optional[FaultInjector] = None
-        self._fworkers: List[_FaultWorker] = []
-        self._fworkers_by_model: Dict[int, List[_FaultWorker]] = {}
+        self._session: Optional[ServingSession] = None
 
     @classmethod
     def from_config(
@@ -270,61 +221,6 @@ class EnsembleServer:
             config=config, tracer=tracer, explain=explain,
         )
 
-    @classmethod
-    def _resolve_config(cls, config, legacy_args, legacy_kwargs) -> ServerConfig:
-        """Fold the deprecated per-knob call shape into a ServerConfig."""
-        legacy = {}
-        if legacy_args:
-            if len(legacy_args) > len(cls._LEGACY_KNOBS):
-                raise TypeError(
-                    f"too many positional arguments "
-                    f"({len(legacy_args)} beyond workers)"
-                )
-            legacy.update(zip(cls._LEGACY_KNOBS, legacy_args))
-        for key in list(legacy_kwargs):
-            if key not in cls._LEGACY_KNOBS:
-                raise TypeError(
-                    f"unexpected keyword argument {key!r} "
-                    f"(serving knobs moved into ServerConfig)"
-                )
-            if key in legacy:
-                raise TypeError(f"duplicate argument {key!r}")
-            legacy[key] = legacy_kwargs[key]
-        if not legacy:
-            return config if config is not None else ServerConfig()
-        if config is not None:
-            raise TypeError(
-                "pass either config= or the legacy per-knob arguments, "
-                "not both"
-            )
-        warnings.warn(
-            "per-knob EnsembleServer arguments "
-            f"({', '.join(sorted(legacy))}) are deprecated and will be "
-            "removed in v2.0; build a ServerConfig and use "
-            "EnsembleServer.from_config(...) or config=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ServerConfig(**legacy)
-
-    # Read-only views kept for call sites that inspected the old
-    # attributes; the config is the source of truth.
-    @property
-    def allow_rejection(self) -> bool:
-        return self.config.allow_rejection
-
-    @property
-    def max_buffer(self) -> int:
-        return self.config.max_buffer
-
-    @property
-    def overhead_base(self) -> float:
-        return self.config.overhead_base
-
-    @property
-    def overhead_per_unit(self) -> float:
-        return self.config.overhead_per_unit
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -342,7 +238,7 @@ class EnsembleServer:
                 f"workload encodes {workload.n_models} models, server has "
                 f"{self.latencies.shape[0]}"
             )
-        session = ServingSession(self)
+        session = self.session()
         arrivals = workload.arrivals
         deadlines = workload.deadlines
         samples = workload.sample_indices
@@ -362,27 +258,21 @@ class EnsembleServer:
         :class:`ServingResult`. One session is active per server at a
         time; opening a new one resets the deployment to its baseline.
         """
-        return ServingSession(self)
+        self._session = ServingSession(self)
+        return self._session
 
     # ------------------------------------------------------------------
-    # Control-plane actuation hooks
+    # Control-plane actuation hooks (act on the active session, opening
+    # one if none is)
     # ------------------------------------------------------------------
+
+    def _active(self) -> "ServingSession":
+        return self._session if self._session is not None else self.session()
 
     @property
     def n_workers(self) -> int:
-        """Current deployment size (baseline plus live replica sets)."""
-        return len(self._workers)
-
-    def _reset_workers(self) -> None:
-        """Restore the baseline deployment for a fresh session (extras
-        from a previous session are appended after the baseline, so a
-        truncate drops exactly them)."""
-        del self._workers[len(self._worker_specs):]
-        for worker in self._workers:
-            worker.free_time = 0.0
-            worker.retired = False
-        self._extra_sets = []
-        self._cheap_mask = None
+        """Current deployment size (baseline plus every replica set)."""
+        return len(self._active()._workers)
 
     def add_replica_set(
         self, now: float, warmup: float = 0.0
@@ -390,44 +280,21 @@ class EnsembleServer:
         """Deploy one replica of the baseline worker set mid-run.
 
         Control-plane scale-up hook: one new worker per baseline spec,
-        busy "provisioning" until ``now + warmup`` and serving after.
-        Reliable path only — a fault plan is sized to the baseline
-        deployment at setup, so scaling under faults is refused.
-        Returns the new worker ids.
+        taking queued work from ``now + warmup`` on. Provisioning emits
+        no spans. Returns the new worker ids.
         """
-        if self._faulty:
-            raise RuntimeError(
-                "replica scaling requires a fault-free config (the fault "
-                "plan is sized to the baseline deployment)"
-            )
-        added = []
-        for spec in self._worker_specs:
-            worker = _Worker(spec, len(self._workers))
-            worker.free_time = float(now) + float(warmup)
-            self._workers.append(worker)
-            added.append(worker)
-        self._extra_sets.append(added)
-        return [w.wid for w in added]
+        return self._active()._add_replica_set(float(now) + float(warmup))
 
     def retire_replica_set(self) -> Optional[List[int]]:
         """Retire the most recently added replica set (LIFO).
 
         The baseline deployment is never retired. Retired workers
-        finish the work already committed to them (their task-done
-        events carry no worker reference) but are excluded from every
-        placement decision from this instant on. Returns the retired
-        worker ids, or ``None`` when already at baseline.
+        finish the work already committed to them but are excluded from
+        every placement decision and idle check from this instant on.
+        Returns the retired worker ids, or ``None`` when already at
+        baseline.
         """
-        if self._faulty:
-            raise RuntimeError(
-                "replica scaling requires a fault-free config"
-            )
-        if not self._extra_sets:
-            return None
-        retired = self._extra_sets.pop()
-        for worker in retired:
-            worker.retired = True
-        return [w.wid for w in retired]
+        return self._active()._retire_replica_set()
 
     def set_cheap_mask(self, mask: Optional[int]) -> None:
         """Flip degraded-quality mode on (``mask``) or off (``None``).
@@ -446,435 +313,7 @@ class EnsembleServer:
                     f"cheap_mask must be a non-empty bitmask over "
                     f"{self.latencies.shape[0]} models, got {mask}"
                 )
-        self._cheap_mask = mask
-
-    # ------------------------------------------------------------------
-    # Shared internals (branch once on fault mode)
-    # ------------------------------------------------------------------
-
-    def _workers_for(self, model_index: int) -> List[_Worker]:
-        chosen = [
-            w for w in self._workers
-            if w.spec.model_index == model_index and not w.retired
-        ]
-        if not chosen:
-            raise ValueError(f"no deployed worker serves model {model_index}")
-        return chosen
-
-    def _busy_per_model(self, now: float) -> np.ndarray:
-        """Remaining committed work per base model (min across replicas).
-
-        In fault mode "committed" is an estimate from queue contents and
-        recovery times — commitments can be revoked by a crash, so
-        successive busy vectors may shrink as well as grow; the
-        schedulers tolerate both (and ``inf`` for models whose workers
-        are all gone)."""
-        busy = np.zeros(self.latencies.shape[0])
-        if self._faulty:
-            for k in range(busy.shape[0]):
-                candidates = [
-                    max(0.0, w.available_at(now) - now)
-                    for w in self._fworkers_by_model.get(k, [])
-                ]
-                busy[k] = min(candidates) if candidates else np.inf
-            return busy
-        for k in range(busy.shape[0]):
-            candidates = [
-                max(0.0, w.free_time - now)
-                for w in self._workers
-                if w.spec.model_index == k and not w.retired
-            ]
-            busy[k] = min(candidates) if candidates else np.inf
-        return busy
-
-    def _explain_record(
-        self, record, ctx, index, now, action, mask, predicted,
-    ) -> DecisionRecord:
-        """Build one :class:`DecisionRecord` at a capture site.
-
-        ``ctx`` is the pending schedule-time context captured by
-        ``try_schedule`` (None for immediate/fast-path decisions, which
-        have no buffer snapshot), ``index`` the decision's position in
-        the committed plan — the DP's per-query stats are EDF-ordered
-        exactly like the plan, so the index lines them up.
-        """
-        if ctx is not None:
-            decided_at, batch, depth, busy_until, stats = ctx
-        else:
-            decided_at, batch, depth, stats = now, 0, 0, None
-            busy_until = self._busy_per_model(now)
-        frontier_size = frontier_cells = 0
-        candidates: List[int] = []
-        if stats is not None and index < len(stats.candidate_masks):
-            candidates = list(stats.candidate_masks[index])
-            frontier_cells = stats.n_cells
-            if index < len(stats.frontier_sizes):
-                frontier_size = stats.frontier_sizes[index]
-        score_for = getattr(self.policy, "score_for", None)
-        score = (
-            float(score_for(record.sample_index))
-            if score_for is not None else float("nan")
-        )
-        return DecisionRecord(
-            query_id=record.query_id,
-            decided_at=decided_at,
-            committed_at=now,
-            action=action,
-            chosen_mask=mask,
-            score=score,
-            deadline=record.deadline,
-            batch_size=batch,
-            buffer_depth=depth,
-            busy_until=[float(b) for b in busy_until],
-            frontier_size=frontier_size,
-            frontier_cells=frontier_cells,
-            candidate_masks=candidates,
-            predicted_finish=(
-                float(predicted) if predicted is not None else None
-            ),
-            predicted_slack=(
-                record.deadline - float(predicted)
-                if predicted is not None else None
-            ),
-        )
-
-    def _estimate_completion(self, mask: int, now: float) -> float:
-        """Estimated completion time of ``mask`` dispatched right now."""
-        estimate = now
-        for k in range(self.latencies.shape[0]):
-            if (mask >> k) & 1:
-                if self._faulty:
-                    candidates = self._fworkers_by_model.get(k)
-                    if not candidates:
-                        return np.inf
-                    finish = min(
-                        w.available_at(now) for w in candidates
-                    ) + self.latencies[k]
-                else:
-                    worker = min(
-                        self._workers_for(k), key=lambda w: w.free_time
-                    )
-                    finish = max(worker.free_time, now) + worker.spec.latency
-                estimate = max(estimate, finish)
-        return estimate
-
-    def _dispatch(self, record, mask, now, events, sequence):
-        cheap = self._cheap_mask
-        if cheap is not None:
-            # Degraded-quality mode: clamp the plan to the cheap
-            # subset (or substitute it outright when disjoint) and
-            # mark the answer as served below its planned quality.
-            clamped = mask & cheap
-            clamped = clamped if clamped else cheap
-            if clamped != mask:
-                record.degraded = True
-                mask = clamped
-        if self._faulty:
-            self._dispatch_faulty(record, mask, now)
-            return
-        record.scheduled_mask = mask
-        count = 0
-        trace = self._trace
-        profile = self._profile
-        for k in range(self.latencies.shape[0]):
-            if (mask >> k) & 1:
-                worker = min(self._workers_for(k), key=lambda w: w.free_time)
-                finish = worker.assign(now)
-                if trace:
-                    # start = max(free_time, now) as of before assign().
-                    self.tracer.emit(
-                        sp.DISPATCH, now, record.query_id,
-                        model=k, worker=worker.wid,
-                        start=finish - worker.spec.latency, finish=finish,
-                    )
-                    if profile:
-                        self.tracer.emit(
-                            sp.QUEUE_WAIT, now, record.query_id,
-                            model=k, worker=worker.wid,
-                            wait_s=finish - worker.spec.latency - now,
-                        )
-                heapq.heappush(
-                    events,
-                    (finish, next(sequence), _TASK_DONE, (record.query_id, k)),
-                )
-                count += 1
-        record.pending_tasks = count
-        if trace:
-            self.tracer.emit(sp.PLAN, now, record.query_id, size=count)
-
-    # ------------------------------------------------------------------
-    # Fault-path internals
-    # ------------------------------------------------------------------
-
-    def _setup_fault_run(self, events, sequence):
-        """Fresh per-run fault state + downtime events (pushed before
-        arrivals so a crash at t ties ahead of an arrival at t)."""
-        plan = self.config.faults
-        self._fworkers = [
-            _FaultWorker(spec, wid)
-            for wid, spec in enumerate(self._worker_specs)
-        ]
-        self._fworkers_by_model = {}
-        for w in self._fworkers:
-            self._fworkers_by_model.setdefault(w.spec.model_index, []).append(w)
-        self._injector = (
-            FaultInjector(plan, len(self._fworkers))
-            if plan is not None
-            else None
-        )
-        if self._injector is not None:
-            for w in self._fworkers:
-                for window in self._injector.windows_for(w.wid):
-                    heapq.heappush(
-                        events,
-                        (window.start, next(sequence), _WORKER_DOWN, window),
-                    )
-
-    def _push(self, at: float, kind: int, payload):
-        heapq.heappush(
-            self._events, (at, next(self._sequence), kind, payload)
-        )
-
-    def _dispatch_faulty(self, record, mask, now):
-        record.scheduled_mask = mask
-        count = 0
-        for k in range(self.latencies.shape[0]):
-            if (mask >> k) & 1:
-                self._f_enqueue(_Task(record.query_id, k), now)
-                count += 1
-        record.pending_tasks = count
-        if self._trace:
-            self.tracer.emit(sp.PLAN, now, record.query_id, size=count)
-
-    def _f_enqueue(self, task: _Task, now: float):
-        """Queue one task attempt on the least-loaded worker for its
-        model (same or sibling — this is the failover choice)."""
-        candidates = self._fworkers_by_model.get(task.model_index)
-        if not candidates:
-            raise ValueError(
-                f"no deployed worker serves model {task.model_index}"
-            )
-        worker = min(candidates, key=lambda w: w.available_at(now))
-        task.state = "queued"
-        task.worker = worker.wid
-        task.enqueued = now
-        worker.queue.append(task)
-        self._f_start_next(worker, now)
-
-    def _f_start_next(self, worker: _FaultWorker, now: float):
-        """Start the worker's next queued task if it is idle and up."""
-        if worker.down or worker.current is not None or not worker.queue:
-            return
-        task = worker.queue.popleft()
-        injector = self._injector
-        if injector is not None:
-            service = injector.service_time(worker.wid, worker.spec.latency)
-            task.fails = injector.task_fails(worker.wid)
-        else:
-            service = worker.spec.latency
-            task.fails = False
-        task.state = "running"
-        task.worker = worker.wid
-        task.start = now
-        task.finish = now + service
-        worker.current = task
-        if self._trace:
-            self.tracer.emit(
-                sp.DISPATCH, now, task.query_id,
-                model=task.model_index, worker=worker.wid,
-                start=now, finish=task.finish, attempt=task.attempt,
-            )
-            if self._profile:
-                self.tracer.emit(
-                    sp.QUEUE_WAIT, now, task.query_id,
-                    model=task.model_index, worker=worker.wid,
-                    attempt=task.attempt, wait_s=now - task.enqueued,
-                )
-        self._push(task.finish, _TASK_END, task)
-        timeout = self.config.task_timeout
-        if timeout is not None and service > timeout:
-            self._push(now + timeout, _TASK_TIMEOUT, task)
-
-    def _f_task_end(self, task: _Task, now: float):
-        """The worker finished executing ``task`` (whatever its fate)."""
-        worker = self._fworkers[task.worker]
-        if worker.current is task:
-            worker.current = None
-            self._f_start_next(worker, now)
-        if task.state != "running":
-            # Abandoned by the watchdog or killed by a crash: the
-            # outcome was already handled, this event only freed the
-            # worker (non-preemptive executions run to the end).
-            return
-        task.state = "done"
-        record = self._records[task.query_id]
-        if task.fails:
-            if self._trace:
-                self.tracer.emit(
-                    sp.TASK_FAILED, now, task.query_id,
-                    model=task.model_index, worker=task.worker,
-                    attempt=task.attempt, reason="fault",
-                )
-            self._f_handle_failure(record, task, now)
-            return
-        record.executed_mask |= 1 << task.model_index
-        record.pending_tasks -= 1
-        if self._trace:
-            self.tracer.emit(
-                sp.TASK_DONE, now, task.query_id, model=task.model_index
-            )
-        if record.pending_tasks == 0:
-            self._f_finalize(record, now)
-
-    def _f_task_timeout(self, task: _Task, now: float):
-        """Watchdog: stop waiting for a straggling execution."""
-        if task.state != "running":
-            return
-        task.state = "abandoned"
-        if self._trace:
-            self.tracer.emit(
-                sp.TASK_FAILED, now, task.query_id,
-                model=task.model_index, worker=task.worker,
-                attempt=task.attempt, reason="timeout",
-            )
-        self._f_handle_failure(record=self._records[task.query_id],
-                               task=task, now=now)
-
-    def _f_handle_failure(self, record, task: _Task, now: float):
-        """Bounded retry with backoff; exhausted tasks fail permanently
-        and the query degrades (or drops) once nothing is pending."""
-        config = self.config
-        backoff = config.retry_backoff
-        feasible = (
-            now + backoff + float(self.latencies[task.model_index])
-            <= record.deadline + 1e-12
-        )
-        if task.attempt < config.max_retries and (
-            feasible or not config.allow_rejection
-        ):
-            record.retries += 1
-            retry = _Task(
-                task.query_id, task.model_index, attempt=task.attempt + 1
-            )
-            if self._trace:
-                self.tracer.emit(
-                    sp.RETRY, now, task.query_id,
-                    model=task.model_index, attempt=retry.attempt,
-                    backoff=backoff, reason="failure",
-                )
-            if backoff > 0.0:
-                self._push(now + backoff, _RETRY, retry)
-            else:
-                self._f_enqueue(retry, now)
-            return
-        record.failed_mask |= 1 << task.model_index
-        record.pending_tasks -= 1
-        if record.pending_tasks == 0:
-            self._f_finalize(record, now)
-
-    def _f_finalize(self, record, now: float):
-        """All of a query's tasks resolved (success or permanent
-        failure): complete, degrade, or drop."""
-        trace = self._trace
-        if not record.failed_mask:
-            record.completion = now
-            if self.explain is not None:
-                self.explain.realize(
-                    record.query_id, now, record.deadline - now
-                )
-            if trace:
-                if record.degraded:
-                    # Cheap-mask clamping (degraded-quality mode) can
-                    # mark a fault-path answer degraded without any
-                    # task having failed.
-                    self.tracer.emit(
-                        sp.COMPLETE, now, record.query_id,
-                        latency=now - record.arrival,
-                        slack=record.deadline - now,
-                        degraded=True,
-                    )
-                else:
-                    self.tracer.emit(
-                        sp.COMPLETE, now, record.query_id,
-                        latency=now - record.arrival,
-                        slack=record.deadline - now,
-                    )
-            return
-        if self.config.degraded_answers and record.executed_mask:
-            # Answer from the executed subset: stacking's KNN filler
-            # reconstructs the missing coordinates, so the partial
-            # result is still a real answer (scored by its mask).
-            record.degraded = True
-            record.completion = now
-            if self.explain is not None:
-                self.explain.realize(
-                    record.query_id, now, record.deadline - now
-                )
-            if trace:
-                self.tracer.emit(
-                    sp.DEGRADED, now, record.query_id,
-                    executed_mask=record.executed_mask,
-                    failed_mask=record.failed_mask,
-                )
-                self.tracer.emit(
-                    sp.COMPLETE, now, record.query_id,
-                    latency=now - record.arrival,
-                    slack=record.deadline - now,
-                    degraded=True,
-                )
-            return
-        record.rejected = True
-        if trace:
-            self.tracer.emit(
-                sp.REJECT, now, record.query_id, reason="faulted",
-            )
-
-    def _f_worker_down(self, window, now: float):
-        """Crash: kill the in-flight task, revoke queued commitments and
-        fail them over onto live siblings (or back onto this worker
-        post-recovery, whichever is expected sooner)."""
-        worker = self._fworkers[window.worker]
-        worker.down = True
-        worker.resume_at = max(worker.resume_at, window.end)
-        if self._trace:
-            self.tracer.emit(
-                sp.WORKER_DOWN, now, worker=worker.wid, until=window.end,
-            )
-        self._push(window.end, _WORKER_UP, worker.wid)
-        current = worker.current
-        if current is not None:
-            worker.current = None
-            current.state = "killed"
-            if self._trace:
-                self.tracer.emit(
-                    sp.TASK_FAILED, now, current.query_id,
-                    model=current.model_index, worker=worker.wid,
-                    attempt=current.attempt, reason="crash",
-                )
-            self._f_handle_failure(
-                self._records[current.query_id], current, now
-            )
-        if worker.queue:
-            revoked = list(worker.queue)
-            worker.queue.clear()
-            for task in revoked:
-                if self._trace:
-                    self.tracer.emit(
-                        sp.RETRY, now, task.query_id,
-                        model=task.model_index, attempt=task.attempt,
-                        backoff=0.0, reason="failover",
-                    )
-                self._f_enqueue(task, now)
-
-    def _f_worker_up(self, wid: int, now: float):
-        worker = self._fworkers[wid]
-        if now < worker.resume_at - 1e-12:
-            # A later overlapping window extended the outage.
-            return
-        worker.down = False
-        if self._trace:
-            self.tracer.emit(sp.WORKER_UP, now, worker=wid)
-        self._f_start_next(worker, now)
+        self._active()._cheap_mask = mask
 
 
 class ServingSession:
@@ -888,6 +327,10 @@ class ServingSession:
     the single-server simulator, event-for-event identical to the
     batch path on the same inputs.
 
+    The session owns all per-run state: the records, the event heap,
+    the worker pool (baseline plus replica sets added mid-run) and the
+    fault injector.
+
     Usage contract: offers carry absolute arrival times and must not
     lie in the session's past (before the last processed event);
     ``advance(t)`` processes every event at or before ``t``; every
@@ -898,17 +341,19 @@ class ServingSession:
     """
 
     def __init__(self, server: EnsembleServer):
-        self._server = server
-        server._reset_workers()
+        self._specs = server._worker_specs
+        self._policy = server.policy
+        self._latencies = server.latencies
+        self._n_models = server.latencies.shape[0]
         tracer = server.tracer
         self._tracer = tracer
-        trace = server._trace = tracer.enabled
+        trace = tracer.enabled
         self._trace = trace
         # Opt-in latency profiling. Off (the default), no sched_phase /
         # queue_wait span is ever emitted and the scheduler's phase
         # timers stay disabled, so the run is span-for-span and
         # bit-for-bit identical to an unprofiled one.
-        prof = server._profile = trace and tracer.profile
+        prof = trace and tracer.profile
         self._prof = prof
         # Live telemetry plane (repro.obs.live), carried by the tracer.
         # Spans drive it from inside tracer.emit; the advance-boundary
@@ -916,25 +361,22 @@ class ServingSession:
         # stretches, so epoch drivers (the control loop) get a snapshot
         # per epoch even when no span lands in it.
         self._live = tracer.live if trace else None
+        scheduler = getattr(server.policy, "scheduler", None)
         self._prof_sched = None
-        if prof:
-            scheduler = getattr(server.policy, "scheduler", None)
-            if scheduler is not None and hasattr(scheduler, "profile"):
-                self._prof_sched = scheduler
-                scheduler.profile = True
+        if prof and scheduler is not None and hasattr(scheduler, "profile"):
+            self._prof_sched = scheduler
+            scheduler.profile = True
         # A learned (regret-gated) scheduler exposes per-invocation
         # fallback state; cache it once so the non-learned hot path
         # pays a single None check per schedule() call.
-        scheduler = getattr(server.policy, "scheduler", None)
         self._gated_sched = (
             scheduler
             if scheduler is not None
             and hasattr(scheduler, "last_used_fallback")
             else None
         )
-        server._sched_wall = 0.0
-        self._faulty = server._faulty
-        self._config = server.config
+        self._sched_wall = 0.0
+        config = self._config = server.config
 
         # Opt-in decision explainability. When off (the default) every
         # capture site below is a single falsy check and the DP's
@@ -943,22 +385,36 @@ class ServingSession:
         explain = server.explain
         self._explain = explain
         self._explain_sched = None
-        if explain is not None:
-            scheduler = getattr(server.policy, "scheduler", None)
-            if scheduler is not None and hasattr(scheduler, "collect_stats"):
-                self._explain_sched = scheduler
-                scheduler.collect_stats = True
-        server._pending_explain = None
+        if explain is not None and scheduler is not None and hasattr(
+            scheduler, "collect_stats"
+        ):
+            self._explain_sched = scheduler
+            scheduler.collect_stats = True
+        self._pending_explain = None
 
         self._records: Dict[int, QueryRecord] = {}
         self._events: List = []
         self._sequence = itertools.count()
-        if self._faulty:
-            server._setup_fault_run(self._events, self._sequence)
-        # The fault helpers reach per-run state through the server.
-        server._records = self._records
-        server._events = self._events
-        server._sequence = self._sequence
+
+        # The worker pool: the baseline deployment, then replica sets
+        # added mid-run (LIFO). ``_by_model`` and ``_serving`` index the
+        # workers that still take new work.
+        self._workers = [
+            _Worker(spec, wid) for wid, spec in enumerate(self._specs)
+        ]
+        self._extra_sets: List[List[_Worker]] = []
+        self._cheap_mask: Optional[int] = None
+        self._index_workers()
+        # A null plan injects nothing: no draws, no downtime events.
+        # Crash windows are pushed before any arrival, so a crash at t
+        # runs ahead of an arrival at t.
+        plan = config.faults
+        self._injector: Optional[FaultInjector] = None
+        if plan is not None and not plan.is_null:
+            self._injector = FaultInjector(plan, len(self._workers))
+            for worker in self._workers:
+                for window in self._injector.windows_for(worker.wid):
+                    self._push(window.start, _WORKER_DOWN, window)
 
         self._buffer: List[int] = []
         self._scheduling_busy = False
@@ -1022,7 +478,6 @@ class ServingSession:
         moves past the events actually handled, so interleaved offers
         at or after ``until`` stay valid.
         """
-        server = self._server
         tracer = self._tracer
         trace = self._trace
         explain = self._explain
@@ -1034,7 +489,11 @@ class ServingSession:
         while events and (until is None or events[0][0] <= until):
             now, _, kind, payload = heapq.heappop(events)
             self._now = now
-            if kind == _ARRIVAL:
+            if kind == _TASK_END:
+                self._task_end(payload, now)
+                if buffered:
+                    self._try_schedule(now)
+            elif kind == _ARRIVAL:
                 if trace:
                     tracer.emit(
                         sp.ARRIVAL, now, payload,
@@ -1042,7 +501,7 @@ class ServingSession:
                     )
                 if buffered:
                     idle_system = (
-                        server.policy.fast_path
+                        self._policy.fast_path
                         and not buffer
                         and not self._scheduling_busy
                         and self._all_idle(now)
@@ -1053,19 +512,18 @@ class ServingSession:
                         if trace:
                             tracer.emit(sp.FAST_PATH, now, payload)
                         if explain is not None:
-                            explain.add(server._explain_record(
+                            explain.add(self._explain_record(
                                 records[payload], None, 0, now,
                                 "fast_path", self._fastest_mask,
-                                server._estimate_completion(
+                                self._estimate_completion(
                                     self._fastest_mask, now
                                 ),
                             ))
-                        server._dispatch(
-                            records[payload], self._fastest_mask, now,
-                            events, sequence,
+                        self._dispatch(
+                            records[payload], self._fastest_mask, now
                         )
                         continue
-                    delay = server.policy.entry_delay
+                    delay = self._policy.entry_delay
                     heapq.heappush(
                         events,
                         (now + delay, next(sequence), _ENTER_BUFFER, payload),
@@ -1086,49 +544,23 @@ class ServingSession:
             elif kind == _COMMIT:
                 self._commit(now, payload)
                 self._try_schedule(now)
-            elif kind == _TASK_DONE:
-                qid, model_index = payload
-                record = records[qid]
-                record.executed_mask |= 1 << model_index
-                record.pending_tasks -= 1
-                if trace:
-                    tracer.emit(sp.TASK_DONE, now, qid, model=model_index)
-                if record.pending_tasks == 0:
-                    record.completion = now
-                    if explain is not None:
-                        explain.realize(qid, now, record.deadline - now)
-                    if trace:
-                        if record.degraded:
-                            # Only set on the reliable path by the
-                            # cheap-mask clamp (degraded-quality mode).
-                            tracer.emit(
-                                sp.COMPLETE, now, qid,
-                                latency=now - record.arrival,
-                                slack=record.deadline - now,
-                                degraded=True,
-                            )
-                        else:
-                            tracer.emit(
-                                sp.COMPLETE, now, qid,
-                                latency=now - record.arrival,
-                                slack=record.deadline - now,
-                            )
-                if buffered:
-                    self._try_schedule(now)
-            elif kind == _TASK_END:
-                server._f_task_end(payload, now)
-                if buffered:
-                    self._try_schedule(now)
             elif kind == _TASK_TIMEOUT:
-                server._f_task_timeout(payload, now)
+                self._task_timeout(payload, now)
             elif kind == _RETRY:
-                server._f_enqueue(payload, now)
+                self._enqueue(payload, now)
             elif kind == _WORKER_DOWN:
-                server._f_worker_down(payload, now)
+                self._worker_down(payload, now)
             elif kind == _WORKER_UP:
-                server._f_worker_up(payload, now)
+                self._worker_up(payload, now)
                 if buffered:
                     self._try_schedule(now)
+            elif kind == _READY:
+                # A provisioned replica starts what queued during its
+                # warm-up; it joined the idle checks at ``free_time``
+                # already, so its arrival here plans nothing.
+                payload.down = False
+                if payload.queue:
+                    self._start_next(payload, now)
         if until is not None and self._live is not None:
             self._live.tick(until)
         return self._now
@@ -1139,7 +571,6 @@ class ServingSession:
             raise RuntimeError("session already finished")
         self.advance(None)
         self._finished = True
-        server = self._server
         tracer = self._tracer
         now = self._now
         records = self._records
@@ -1155,31 +586,383 @@ class ServingSession:
             self._prof_sched.profile = False
         return ServingResult(
             records=[records[i] for i in range(self._n_offered)],
-            policy_name=server.policy.name,
+            policy_name=self._policy.name,
             scheduler_invocations=self._invocations,
+            scheduler_wall_time=self._sched_wall,
             scheduler_work_units=self._total_work,
-            scheduler_wall_time=server._sched_wall,
             metrics=tracer.metrics,
         )
 
-    # -- event-loop internals (ported verbatim from the old run()) -----
+    # -- actuation (behind the EnsembleServer hooks) -------------------
+
+    def _add_replica_set(self, ready: float) -> List[int]:
+        added = []
+        for spec in self._specs:
+            worker = _Worker(spec, len(self._workers), ready)
+            if ready > self._now:
+                worker.down = True
+                self._push(ready, _READY, worker)
+            self._workers.append(worker)
+            added.append(worker)
+        self._extra_sets.append(added)
+        self._index_workers()
+        return [w.wid for w in added]
+
+    def _retire_replica_set(self) -> Optional[List[int]]:
+        if not self._extra_sets:
+            return None
+        retired = self._extra_sets.pop()
+        for worker in retired:
+            worker.retired = True
+        self._index_workers()
+        return [w.wid for w in retired]
+
+    def _index_workers(self) -> None:
+        self._serving = [w for w in self._workers if not w.retired]
+        self._by_model: List[List[_Worker]] = [
+            [] for _ in range(self._n_models)
+        ]
+        for worker in self._serving:
+            self._by_model[worker.spec.model_index].append(worker)
+
+    # -- committed-work estimates (all read ``free_time``) -------------
+
+    def _least_loaded(self, model_index: int) -> _Worker:
+        workers = self._by_model[model_index]
+        if not workers:
+            raise ValueError(f"no deployed worker serves model {model_index}")
+        return min(workers, key=_free_time)
+
+    def _busy_per_model(self, now: float) -> np.ndarray:
+        """Remaining committed work per base model (min across replicas).
+
+        Under faults "committed" is an estimate — a crash revokes
+        queued work, so successive busy vectors may shrink as well as
+        grow; the schedulers tolerate both (and ``inf`` for models no
+        worker serves)."""
+        busy = np.full(self._n_models, np.inf)
+        for k, workers in enumerate(self._by_model):
+            if workers:
+                busy[k] = max(0.0, min(w.free_time for w in workers) - now)
+        return busy
+
+    def _estimate_completion(self, mask: int, now: float) -> float:
+        """Estimated completion time of ``mask`` dispatched right now."""
+        estimate = now
+        for k in range(self._n_models):
+            if (mask >> k) & 1:
+                worker = self._least_loaded(k)
+                finish = max(worker.free_time, now) + worker.spec.latency
+                estimate = max(estimate, finish)
+        return estimate
 
     def _any_idle(self, now: float) -> bool:
-        if self._faulty:
-            return any(w.idle() for w in self._server._fworkers)
-        return any(
-            w.free_time <= now + 1e-12
-            for w in self._server._workers
-            if not w.retired
-        )
+        limit = now + 1e-12
+        for worker in self._serving:
+            if worker.free_time <= limit:
+                return True
+        return False
 
     def _all_idle(self, now: float) -> bool:
-        if self._faulty:
-            return all(w.idle() for w in self._server._fworkers)
-        return all(
-            w.free_time <= now + 1e-12
-            for w in self._server._workers
-            if not w.retired
+        limit = now + 1e-12
+        for worker in self._serving:
+            if worker.free_time > limit:
+                return False
+        return True
+
+    # -- tasks ----------------------------------------------------------
+
+    def _push(self, at: float, kind: int, payload) -> None:
+        heapq.heappush(self._events, (at, next(self._sequence), kind, payload))
+
+    def _dispatch(self, record: QueryRecord, mask: int, now: float) -> None:
+        cheap = self._cheap_mask
+        if cheap is not None:
+            # Degraded-quality mode: clamp the plan to the cheap
+            # subset (or substitute it outright when disjoint) and
+            # mark the answer as served below its planned quality.
+            clamped = mask & cheap
+            clamped = clamped if clamped else cheap
+            if clamped != mask:
+                record.degraded = True
+                mask = clamped
+        record.scheduled_mask = mask
+        count = 0
+        for k in range(self._n_models):
+            if (mask >> k) & 1:
+                self._enqueue(_Task(record.query_id, k), now)
+                count += 1
+        record.pending_tasks = count
+        if self._trace:
+            self._tracer.emit(sp.PLAN, now, record.query_id, size=count)
+
+    def _enqueue(self, task: _Task, now: float) -> None:
+        """Queue one task attempt on the least-loaded worker for its
+        model (same or sibling — under faults this is the failover
+        choice) and commit its expected duration."""
+        worker = self._least_loaded(task.model_index)
+        start = max(worker.free_time, now)
+        worker.free_time = start + worker.spec.latency
+        task.worker = worker.wid
+        task.enqueued = now
+        worker.queue.append(task)
+        if worker.current is None and not worker.down:
+            self._start_next(worker, now)
+
+    def _start_next(self, worker: _Worker, now: float) -> None:
+        """Start the next queued task on an up, idle worker."""
+        task = worker.queue.popleft()
+        latency = worker.spec.latency
+        service = latency
+        injector = self._injector
+        if injector is not None:
+            service = injector.service_time(worker.wid, latency)
+            task.fails = injector.task_fails(worker.wid)
+        finish = now + service
+        if service != latency:
+            # The draw moved this task's end, and everything queued
+            # behind it.
+            worker.free_time = finish + latency * len(worker.queue)
+        task.state = "running"
+        worker.current = task
+        if self._trace:
+            self._tracer.emit(
+                sp.DISPATCH, now, task.query_id,
+                model=task.model_index, worker=worker.wid,
+                start=now, finish=finish, attempt=task.attempt,
+            )
+            if self._prof:
+                self._tracer.emit(
+                    sp.QUEUE_WAIT, now, task.query_id,
+                    model=task.model_index, worker=worker.wid,
+                    attempt=task.attempt, wait_s=now - task.enqueued,
+                )
+        self._push(finish, _TASK_END, task)
+        timeout = self._config.task_timeout
+        if timeout is not None and service > timeout:
+            self._push(now + timeout, _TASK_TIMEOUT, task)
+
+    def _task_end(self, task: _Task, now: float) -> None:
+        """The worker finished executing ``task`` (whatever its fate)."""
+        worker = self._workers[task.worker]
+        if worker.current is task:
+            worker.current = None
+            if worker.queue:
+                self._start_next(worker, now)
+        if task.state != "running":
+            # Abandoned by the watchdog or killed by a crash: the
+            # outcome was already handled, this event only freed the
+            # worker (non-preemptive executions run to the end).
+            return
+        task.state = "done"
+        record = self._records[task.query_id]
+        if task.fails:
+            if self._trace:
+                self._tracer.emit(
+                    sp.TASK_FAILED, now, task.query_id,
+                    model=task.model_index, worker=task.worker,
+                    attempt=task.attempt, reason="fault",
+                )
+            self._task_failed(record, task, now)
+            return
+        record.executed_mask |= 1 << task.model_index
+        record.pending_tasks -= 1
+        if self._trace:
+            self._tracer.emit(
+                sp.TASK_DONE, now, task.query_id, model=task.model_index
+            )
+        if record.pending_tasks == 0:
+            self._finalize(record, now)
+
+    def _task_timeout(self, task: _Task, now: float) -> None:
+        """Watchdog: stop waiting for a straggling execution."""
+        if task.state != "running":
+            return
+        task.state = "abandoned"
+        if self._trace:
+            self._tracer.emit(
+                sp.TASK_FAILED, now, task.query_id,
+                model=task.model_index, worker=task.worker,
+                attempt=task.attempt, reason="timeout",
+            )
+        self._task_failed(self._records[task.query_id], task, now)
+
+    def _task_failed(
+        self, record: QueryRecord, task: _Task, now: float
+    ) -> None:
+        """Bounded retry with backoff; exhausted tasks fail permanently
+        and the query degrades (or drops) once nothing is pending."""
+        config = self._config
+        backoff = config.retry_backoff
+        feasible = (
+            now + backoff + float(self._latencies[task.model_index])
+            <= record.deadline + 1e-12
+        )
+        if task.attempt < config.max_retries and (
+            feasible or not config.allow_rejection
+        ):
+            record.retries += 1
+            retry = _Task(
+                task.query_id, task.model_index, attempt=task.attempt + 1
+            )
+            if self._trace:
+                self._tracer.emit(
+                    sp.RETRY, now, task.query_id,
+                    model=task.model_index, attempt=retry.attempt,
+                    backoff=backoff, reason="failure",
+                )
+            if backoff > 0.0:
+                self._push(now + backoff, _RETRY, retry)
+            else:
+                self._enqueue(retry, now)
+            return
+        record.failed_mask |= 1 << task.model_index
+        record.pending_tasks -= 1
+        if record.pending_tasks == 0:
+            self._finalize(record, now)
+
+    def _finalize(self, record: QueryRecord, now: float) -> None:
+        """All of a query's tasks resolved (success or permanent
+        failure): complete, degrade, or drop."""
+        trace = self._trace
+        if record.failed_mask:
+            if not (self._config.degraded_answers and record.executed_mask):
+                record.rejected = True
+                if trace:
+                    self._tracer.emit(
+                        sp.REJECT, now, record.query_id, reason="faulted",
+                    )
+                return
+            # Answer from the executed subset: stacking's KNN filler
+            # reconstructs the missing coordinates, so the partial
+            # result is still a real answer (scored by its mask).
+            record.degraded = True
+            if trace:
+                self._tracer.emit(
+                    sp.DEGRADED, now, record.query_id,
+                    executed_mask=record.executed_mask,
+                    failed_mask=record.failed_mask,
+                )
+        record.completion = now
+        if self._explain is not None:
+            self._explain.realize(record.query_id, now, record.deadline - now)
+        if trace:
+            if record.degraded:
+                # A partial answer, or a plan narrowed by the cheap mask.
+                self._tracer.emit(
+                    sp.COMPLETE, now, record.query_id,
+                    latency=now - record.arrival,
+                    slack=record.deadline - now,
+                    degraded=True,
+                )
+            else:
+                self._tracer.emit(
+                    sp.COMPLETE, now, record.query_id,
+                    latency=now - record.arrival,
+                    slack=record.deadline - now,
+                )
+
+    def _worker_down(self, window, now: float) -> None:
+        """Crash: kill the in-flight task, revoke queued commitments and
+        fail them over onto live siblings (or back onto this worker
+        post-recovery, whichever is expected sooner)."""
+        worker = self._workers[window.worker]
+        worker.down = True
+        worker.resume_at = max(worker.resume_at, window.end)
+        if self._trace:
+            self._tracer.emit(
+                sp.WORKER_DOWN, now, worker=worker.wid, until=window.end,
+            )
+        self._push(window.end, _WORKER_UP, worker)
+        killed = worker.current
+        revoked = list(worker.queue)
+        worker.current = None
+        worker.queue.clear()
+        # Nothing committed survives the crash: the tail restarts at
+        # recovery, the revoked work is re-placed in FIFO order, and a
+        # retry of the killed execution queues behind it.
+        worker.free_time = worker.resume_at
+        for task in revoked:
+            if self._trace:
+                self._tracer.emit(
+                    sp.RETRY, now, task.query_id,
+                    model=task.model_index, attempt=task.attempt,
+                    backoff=0.0, reason="failover",
+                )
+            self._enqueue(task, now)
+        if killed is not None:
+            killed.state = "killed"
+            if self._trace:
+                self._tracer.emit(
+                    sp.TASK_FAILED, now, killed.query_id,
+                    model=killed.model_index, worker=worker.wid,
+                    attempt=killed.attempt, reason="crash",
+                )
+            self._task_failed(self._records[killed.query_id], killed, now)
+
+    def _worker_up(self, worker: _Worker, now: float) -> None:
+        if now < worker.resume_at - 1e-12:
+            # A later overlapping window extended the outage.
+            return
+        worker.down = False
+        if self._trace:
+            self._tracer.emit(sp.WORKER_UP, now, worker=worker.wid)
+        # Two windows ending together deliver two recoveries; the first
+        # already restarted the worker.
+        if worker.queue and worker.current is None:
+            self._start_next(worker, now)
+
+    # -- planning -------------------------------------------------------
+
+    def _explain_record(
+        self, record, ctx, index, now, action, mask, predicted,
+    ) -> DecisionRecord:
+        """Build one :class:`DecisionRecord` at a capture site.
+
+        ``ctx`` is the pending schedule-time context captured by
+        ``_try_schedule`` (None for immediate/fast-path decisions, which
+        have no buffer snapshot), ``index`` the decision's position in
+        the committed plan — the DP's per-query stats are EDF-ordered
+        exactly like the plan, so the index lines them up.
+        """
+        if ctx is not None:
+            decided_at, batch, depth, busy_until, stats = ctx
+        else:
+            decided_at, batch, depth, stats = now, 0, 0, None
+            busy_until = self._busy_per_model(now)
+        frontier_size = frontier_cells = 0
+        candidates: List[int] = []
+        if stats is not None and index < len(stats.candidate_masks):
+            candidates = list(stats.candidate_masks[index])
+            frontier_cells = stats.n_cells
+            if index < len(stats.frontier_sizes):
+                frontier_size = stats.frontier_sizes[index]
+        score_for = getattr(self._policy, "score_for", None)
+        score = (
+            float(score_for(record.sample_index))
+            if score_for is not None else float("nan")
+        )
+        return DecisionRecord(
+            query_id=record.query_id,
+            decided_at=decided_at,
+            committed_at=now,
+            action=action,
+            chosen_mask=mask,
+            score=score,
+            deadline=record.deadline,
+            batch_size=batch,
+            buffer_depth=depth,
+            busy_until=[float(b) for b in busy_until],
+            frontier_size=frontier_size,
+            frontier_cells=frontier_cells,
+            candidate_masks=candidates,
+            predicted_finish=(
+                float(predicted) if predicted is not None else None
+            ),
+            predicted_slack=(
+                record.deadline - float(predicted)
+                if predicted is not None else None
+            ),
         )
 
     def _try_schedule(self, now: float) -> None:
@@ -1187,7 +970,7 @@ class ServingSession:
             return
         if not self._any_idle(now):
             return
-        server = self._server
+        policy = self._policy
         config = self._config
         records = self._records
         buffer = self._buffer
@@ -1201,7 +984,7 @@ class ServingSession:
             request = self._request_cache.get(qid)
             if request is None:
                 record = records[qid]
-                request = server.policy.make_request(
+                request = policy.make_request(
                     qid,
                     record.arrival,
                     record.deadline,
@@ -1209,17 +992,17 @@ class ServingSession:
                 )
                 self._request_cache[qid] = request
             queries.append(request)
-        busy_until = server._busy_per_model(now)
+        busy_until = self._busy_per_model(now)
         instance = SchedulingInstance(
             queries=queries,
-            latencies=server.latencies,
+            latencies=self._latencies,
             busy_until=busy_until,
             now=now,
         )
         wall_start = time.perf_counter()
-        result = server.policy.scheduler.schedule(instance)
+        result = policy.scheduler.schedule(instance)
         wall = time.perf_counter() - wall_start
-        server._sched_wall += wall
+        self._sched_wall += wall
         self._invocations += 1
         self._total_work += result.work_units
         overhead = (
@@ -1254,22 +1037,18 @@ class ServingSession:
         if self._explain is not None:
             # scheduling_busy serializes invocations, so exactly one
             # schedule context is pending until its plan commits.
-            server._pending_explain = (
+            self._pending_explain = (
                 now, len(snapshot), len(buffer), busy_until,
                 self._explain_sched.last_stats
                 if self._explain_sched is not None else None,
             )
-        heapq.heappush(
-            self._events,
-            (now + overhead, next(self._sequence), _COMMIT, result.decisions),
-        )
+        self._push(now + overhead, _COMMIT, result.decisions)
 
     def _commit(self, now: float, decisions) -> None:
         """Apply one plan: reject infeasible queries and dispatch the
         plan's EDF prefix while some model is still idle. Queries
         beyond that stay buffered, so later arrivals can reshape
         their subsets (the paper's wait-for-idling-models rule)."""
-        server = self._server
         config = self._config
         records = self._records
         explain = self._explain
@@ -1279,21 +1058,21 @@ class ServingSession:
             self._tracer.emit(sp.COMMIT, now, decisions=len(decisions))
         ctx = None
         if explain is not None:
-            ctx = server._pending_explain
-            server._pending_explain = None
+            ctx = self._pending_explain
+            self._pending_explain = None
         for di, decision in enumerate(decisions):
             record = records[decision.query_id]
             mask = decision.mask
             fallback = False
             if mask == 0 and not config.allow_rejection:
                 # Forced processing: fall back to the fastest model.
-                mask = 1 << int(np.argmin(server.latencies))
+                mask = self._fastest_mask
                 fallback = True
             if mask == 0:
                 # Deadlines only get closer; infeasible stays so.
                 record.rejected = True
                 if explain is not None:
-                    explain.add(server._explain_record(
+                    explain.add(self._explain_record(
                         record, ctx, di, now, "reject", 0, None,
                     ))
                 if trace:
@@ -1305,7 +1084,7 @@ class ServingSession:
             if not self._any_idle(now):
                 self._buffer.append(decision.query_id)
                 if explain is not None:
-                    explain.add(server._explain_record(
+                    explain.add(self._explain_record(
                         record, ctx, di, now, "requeue", mask, None,
                     ))
                 if trace:
@@ -1315,24 +1094,23 @@ class ServingSession:
                     )
                 continue
             if explain is not None:
-                explain.add(server._explain_record(
+                explain.add(self._explain_record(
                     record, ctx, di, now,
                     "fallback" if fallback else "dispatch", mask,
-                    server._estimate_completion(mask, now),
+                    self._estimate_completion(mask, now),
                 ))
-            server._dispatch(record, mask, now, self._events, self._sequence)
+            self._dispatch(record, mask, now)
 
     def _dispatch_immediate(self, now: float, qid: int) -> None:
-        server = self._server
         record = self._records[qid]
-        mask = server.policy.mask_for(record.sample_index)
+        mask = self._policy.mask_for(record.sample_index)
         explain = self._explain
         if self._config.allow_rejection:
-            estimate = server._estimate_completion(mask, now)
+            estimate = self._estimate_completion(mask, now)
             if estimate > record.deadline + 1e-12:
                 record.rejected = True
                 if explain is not None:
-                    explain.add(server._explain_record(
+                    explain.add(self._explain_record(
                         record, None, 0, now, "reject", mask, estimate,
                     ))
                 if self._trace:
@@ -1341,8 +1119,8 @@ class ServingSession:
                     )
                 return
         if explain is not None:
-            explain.add(server._explain_record(
+            explain.add(self._explain_record(
                 record, None, 0, now, "immediate", mask,
-                server._estimate_completion(mask, now),
+                self._estimate_completion(mask, now),
             ))
-        server._dispatch(record, mask, now, self._events, self._sequence)
+        self._dispatch(record, mask, now)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.control import ControlConfig
+from repro.faults import DowntimeWindow, FaultPlan
 from repro.fleet import FleetConfig, FleetServer
 from repro.obs import spans as sp
 from repro.obs.slo import SLOConfig
@@ -210,23 +211,79 @@ class TestQuietWorkloadEquivalence:
         )
 
 
+CRASH_WINDOWS = ((10.73, 12.5), (20.61, 21.8))
+
+
+def run_faulty_fleet(workload):
+    """The burst through shards that carry task failures, jitter past
+    a watchdog, and crash windows on the fastest model's worker that
+    overlap the controller's scale-ups at t=11 and t=21."""
+    policy, _ = make_policy()
+    plan = FaultPlan(
+        seed=5, task_failure_rate=0.02, latency_jitter=0.2,
+        downtime=tuple(
+            DowntimeWindow(0, start, end) for start, end in CRASH_WINDOWS
+        ),
+    )
+    shard = ServerConfig(
+        faults=plan, task_timeout=0.02, max_retries=1, retry_backoff=0.001,
+    )
+    tracer = RecordingTracer()
+    result = FleetServer.from_config(
+        LATENCIES, policy,
+        FleetConfig.uniform(
+            2, shard, queue_limit=8, seed=0, control=control_config(),
+        ),
+        tracer=tracer,
+    ).run(workload)
+    return result, tracer
+
+
+@pytest.fixture(scope="module")
+def faulty_run():
+    _, quality = make_policy()
+    workload = burst_workload(quality)
+    result, tracer = run_faulty_fleet(workload)
+    return result, tracer, workload
+
+
+@pytest.mark.faults
+class TestFaultyShards:
+    def test_scale_ups_overlap_crash_windows(self, faulty_run):
+        result, _, _ = faulty_run
+        ups = [a.time for a in result.control_log if a.kind == sp.SCALE_UP]
+        for start, end in CRASH_WINDOWS:
+            assert any(start <= t < end for t in ups), (start, end, ups)
+
+    def test_every_query_ends_exactly_once(self, faulty_run):
+        result, tracer, workload = faulty_run
+        ends = np.zeros(workload.n_queries, dtype=int)
+        for span in tracer.spans:
+            if span.kind in (sp.COMPLETE, sp.REJECT):
+                ends[span.query_id] += 1
+        assert (ends == 1).all()
+        records = result.merged.records
+        assert len(records) == workload.n_queries
+        assert all(r.processed != r.rejected for r in records)
+
+    def test_faults_reach_merged_spans(self, faulty_run):
+        _, tracer, _ = faulty_run
+        kinds = {s.kind for s in tracer.spans}
+        assert sp.WORKER_DOWN in kinds
+        reasons = {
+            s.attrs["reason"] for s in tracer.spans
+            if s.kind == sp.TASK_FAILED
+        }
+        assert "crash" in reasons
+
+    def test_same_seed_reproduces_log_and_records(self, faulty_run):
+        result, _, workload = faulty_run
+        rerun, _ = run_faulty_fleet(workload)
+        assert rerun.control_log.dumps() == result.control_log.dumps()
+        assert rerun.merged.records == result.merged.records
+
+
 class TestGuards:
-    def test_controlled_mode_rejects_faulty_shards(self):
-        from repro.faults import FaultPlan
-
-        policy, quality = make_policy()
-        workload = burst_workload(quality, n=50)
-        fleet = FleetServer.from_config(
-            LATENCIES, policy,
-            FleetConfig.uniform(
-                2,
-                ServerConfig(faults=FaultPlan(task_failure_rate=0.1)),
-                control=control_config(),
-            ),
-        )
-        with pytest.raises(ValueError, match="fault-free"):
-            fleet.run(workload)
-
     def test_config_requires_control_config_type(self):
         with pytest.raises(TypeError):
             FleetConfig.uniform(2, ServerConfig(), control=object())

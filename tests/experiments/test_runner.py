@@ -14,7 +14,6 @@ from repro.experiments.runner import (
     summarize,
 )
 from repro.fleet import FleetConfig, FleetResult
-from repro.serving.config import ServerConfig
 
 
 @pytest.fixture(scope="module")
@@ -79,29 +78,6 @@ class TestRunAndSummarize:
         assert 0.0 <= stats["accuracy"] <= 1.0
         assert stats["latency_p50"] <= stats["latency_p99"] <= stats["latency_max"]
         assert stats["scheduler_wall_time"] >= 0.0
-
-    def test_legacy_knob_kwargs_deprecated(self, tm_setup, trace):
-        wl = make_workload(tm_setup, trace, deadline=0.3, seed=2)
-        policy = tm_setup.policies()["original"]
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            legacy = run_policy(
-                tm_setup, policy, wl, policy_name="original",
-                allow_rejection=False,
-            )
-        modern = run_policy(
-            tm_setup, policy, wl, policy_name="original",
-            config=ServerConfig(allow_rejection=False),
-        )
-        assert legacy.records == modern.records
-
-    def test_legacy_and_config_conflict(self, tm_setup, trace):
-        wl = make_workload(tm_setup, trace, deadline=0.3, seed=2)
-        policy = tm_setup.policies()["original"]
-        with pytest.raises(TypeError, match="not both"):
-            run_policy(
-                tm_setup, policy, wl, policy_name="original",
-                config=ServerConfig(), max_buffer=4,
-            )
 
     def test_run_spec_end_to_end(self, tm_setup):
         spec = RunSpec(policy="original", duration=5.0, seed=3)

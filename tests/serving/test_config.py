@@ -1,4 +1,4 @@
-"""ServerConfig: validation, from_config, and the deprecation shim."""
+"""ServerConfig: validation and from_config."""
 
 import dataclasses
 
@@ -88,30 +88,13 @@ class TestValidation:
         assert str(from_replace.value) == str(from_init.value)
 
 
-class TestFaultFree:
-    def test_default_is_fault_free(self):
-        assert ServerConfig().fault_free
-
-    def test_null_plan_is_fault_free(self):
-        assert ServerConfig(faults=FaultPlan()).fault_free
-
-    def test_active_plan_is_not(self):
-        assert not ServerConfig(
-            faults=FaultPlan(task_failure_rate=0.1)
-        ).fault_free
-
-    def test_timeout_alone_engages_fault_path(self):
-        assert not ServerConfig(task_timeout=0.5).fault_free
-
-
 class TestFromConfig:
     def test_builds_server_with_config(self):
         config = ServerConfig(allow_rejection=False, max_buffer=4)
         server = EnsembleServer.from_config([0.1], policy(), config)
         assert server.config is config
-        # Legacy read-only views mirror the config.
-        assert server.allow_rejection is False
-        assert server.max_buffer == 4
+        assert server.config.allow_rejection is False
+        assert server.config.max_buffer == 4
 
     def test_config_keyword(self):
         server = EnsembleServer(
@@ -131,59 +114,3 @@ class TestFromConfig:
         server = EnsembleServer.from_config([0.1], policy(), config)
         result = server.run(tiny_workload())
         assert len(result) == 2
-
-
-class TestDeprecationShim:
-    def test_legacy_keywords_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            server = EnsembleServer(
-                [0.1], policy(), allow_rejection=False, max_buffer=3
-            )
-        assert server.config.allow_rejection is False
-        assert server.config.max_buffer == 3
-
-    def test_legacy_positionals_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            server = EnsembleServer([0.1], policy(), None, False, 5)
-        assert server.config.allow_rejection is False
-        assert server.config.max_buffer == 5
-
-    def test_legacy_overheads(self):
-        with pytest.warns(DeprecationWarning):
-            server = EnsembleServer(
-                [0.1], policy(), overhead_base=0.0, overhead_per_unit=0.0
-            )
-        assert server.config.overhead_base == 0.0
-
-    def test_legacy_and_config_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            EnsembleServer(
-                [0.1], policy(),
-                config=ServerConfig(), max_buffer=3,
-            )
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="ServerConfig"):
-            EnsembleServer([0.1], policy(), retry_limit=3)
-
-    def test_duplicate_argument_rejected(self):
-        with pytest.raises(TypeError, match="duplicate"):
-            EnsembleServer(
-                [0.1], policy(), None, False, allow_rejection=True
-            )
-
-    def test_legacy_validation_still_applies(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                EnsembleServer([0.1], policy(), max_buffer=0)
-
-    def test_legacy_behaviour_matches_config(self):
-        workload = tiny_workload(n=3, deadline=0.15)
-        with pytest.warns(DeprecationWarning):
-            legacy = EnsembleServer(
-                [0.1], policy(), allow_rejection=False
-            ).run(workload)
-        modern = EnsembleServer.from_config(
-            [0.1], policy(), ServerConfig(allow_rejection=False)
-        ).run(workload)
-        assert legacy.records == modern.records

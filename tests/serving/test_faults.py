@@ -81,9 +81,8 @@ class TestNullPlanIdentity:
         buffered_policy,
     ], ids=["immediate", "buffered"])
     def test_fault_path_without_faults_is_identical(self, make_policy):
-        # task_timeout engages the fault-mode event loop even with no
-        # plan; with a timeout no execution can hit, the records must
-        # still match the plain path event for event.
+        # A watchdog no execution can hit never fires: the records
+        # must still match the plain run event for event.
         wl = random_workload(seed=1)
         plain = EnsembleServer.from_config(
             LAT, make_policy(), ServerConfig(**NO_OVERHEAD)
@@ -262,6 +261,21 @@ class TestCrashFailover:
         assert len(ups) == 1 and ups[0].attrs["worker"] == 0
         assert tracer.worker_downtime[0] == pytest.approx(0.95)
         assert tracer.metrics.counter("workers.crashes").value == 1
+
+    def test_windows_ending_together_restart_once(self):
+        # Both queries queue on the downed worker; the two windows end
+        # together, and the second recovery must not start a second
+        # task beside the first.
+        plan = FaultPlan(downtime=(
+            DowntimeWindow(0, 0.5, 2.0), DowntimeWindow(0, 1.0, 2.0),
+        ))
+        config = ServerConfig(faults=plan, **NO_OVERHEAD)
+        result = EnsembleServer.from_config(
+            [0.1], ImmediateMaskPolicy("p", 0b1), config
+        ).run(workload([0.6, 0.6], deadline=10.0, m=1))
+        np.testing.assert_allclose(
+            [r.completion for r in result.records], [2.1, 2.2]
+        )
 
     def test_chrome_trace_has_down_box(self):
         _, tracer = self.run_crash()

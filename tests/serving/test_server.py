@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.obs import spans as sp
+from repro.obs.tracer import RecordingTracer
 from repro.scheduling.dp import DPScheduler
 from repro.serving.config import ServerConfig
 from repro.serving.policies import BufferedSchedulingPolicy, ImmediateMaskPolicy
@@ -69,6 +71,25 @@ class TestImmediateTiming:
         server = EnsembleServer([0.1], ImmediateMaskPolicy("p", 0b1))
         result = server.run(workload([0.0, 5.0], deadline=1.0, m=1))
         assert result.records[1].completion == pytest.approx(5.1)
+
+    def test_queued_task_dispatch_span_at_start(self):
+        # Query 1 commits at t=0.02 but waits behind query 0 on the one
+        # worker: its dispatch span is emitted when it starts, at 0.1.
+        tracer = RecordingTracer()
+        server = EnsembleServer(
+            [0.1], ImmediateMaskPolicy("p", 0b1), tracer=tracer
+        )
+        server.run(workload([0.0, 0.02], deadline=1.0, m=1))
+        dispatches = [
+            s for s in sp.spans_of_kind(tracer.spans, sp.DISPATCH)
+            if s.query_id == 1
+        ]
+        assert len(dispatches) == 1
+        span = dispatches[0]
+        assert span.time == span.attrs["start"]
+        assert span.time == pytest.approx(0.1)
+        assert span.attrs["finish"] == pytest.approx(0.2)
+        assert span.attrs["attempt"] == 0
 
 
 class TestBufferedPolicy:

@@ -1,10 +1,14 @@
 """Event-loop ordering asserted via the tracer's span sequence.
 
-The event kinds in :mod:`repro.serving.server` are ordered so that, at
-one simulated instant, completions free capacity before the scheduler
-runs, and every same-instant arrival joins the buffer before planning
-starts. The span stream a ``RecordingTracer`` records is a faithful log
-of the loop's branch order, so these properties become assertable.
+Events at one simulated instant run in push order: heap entries are
+``(time, seq, kind, payload)`` with a unique ``seq``, so the event kind
+never breaks a tie. A completion plans the freed capacity inside its
+own handler, and the same-time schedule event an arrival's buffer entry
+pushes runs after every arrival already queued for that instant, so
+completions free capacity before the scheduler runs and a same-instant
+burst joins the buffer before planning starts. The span stream a
+``RecordingTracer`` records is a faithful log of the loop's branch
+order, so these properties become assertable.
 """
 
 import heapq as real_heapq

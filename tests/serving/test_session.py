@@ -10,6 +10,7 @@ batch path when nothing actuates in between.
 import numpy as np
 import pytest
 
+from repro.faults import DowntimeWindow, FaultPlan
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
 from repro.serving.config import ServerConfig
@@ -54,18 +55,35 @@ def record_tuple(r):
     )
 
 
+# Jitter, transient failures, a crash window and retry backoff: the
+# control loop streams shards configured like this.
+FAULTY = ServerConfig(
+    faults=FaultPlan(
+        seed=3, latency_jitter=0.2, task_failure_rate=0.1,
+        downtime=(DowntimeWindow(1, 2.13, 3.02),),
+    ),
+    max_retries=2, retry_backoff=0.01,
+)
+
+
 class TestStreamingEquivalence:
-    @pytest.mark.parametrize("buffered", [True, False])
-    def test_chunked_session_matches_run(self, buffered):
+    @pytest.mark.parametrize("buffered, config", [
+        (True, None), (False, None), (True, FAULTY),
+    ], ids=["True", "False", "faulty"])
+    def test_chunked_session_matches_run(self, buffered, config):
         workload = make_workload()
         policy = make_policy(buffered=buffered)
 
         tracer_a = RecordingTracer()
-        server_a = EnsembleServer(LATENCIES, policy, tracer=tracer_a)
+        server_a = EnsembleServer(
+            LATENCIES, policy, config=config, tracer=tracer_a
+        )
         batch = server_a.run(workload)
 
         tracer_b = RecordingTracer()
-        server_b = EnsembleServer(LATENCIES, policy, tracer=tracer_b)
+        server_b = EnsembleServer(
+            LATENCIES, policy, config=config, tracer=tracer_b
+        )
         session = server_b.session()
         qi, n = 0, workload.n_queries
         epoch = 0.5
