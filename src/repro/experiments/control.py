@@ -8,8 +8,8 @@ static fleet breaches, and at what quality cost?
 
 :func:`run_control_comparison` serves one workload twice through the
 same :class:`~repro.fleet.server.FleetServer` deployment — once with
-``control=None`` (the original static two-pass run) and once in
-controlled mode — and reports both rows side by side, plus the
+``control=None`` (a static fleet: one epoch, no controller) and once
+in controlled mode — and reports both rows side by side, plus the
 controller's action counts and the detected overload episodes. Both
 runs are deterministic for a fixed (workload, seed); the controlled
 run's ``control_log.dumps()`` is byte-identical across reruns, which

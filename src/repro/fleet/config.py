@@ -58,8 +58,9 @@ class FleetConfig:
             ``control.interval`` seconds and an SLO-driven controller
             scales replica sets, tightens admission, and degrades
             ensemble quality mid-run (see :mod:`repro.control`).
-            ``None`` (the default) keeps the original static two-pass
-            run, byte-identical to before this knob existed.
+            ``None`` (the default) runs a static fleet: the same loop
+            as a single epoch that admits every arrival, with no
+            controller.
     """
 
     shards: Tuple[ServerConfig, ...] = (ServerConfig(), ServerConfig())

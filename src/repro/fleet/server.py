@@ -3,7 +3,7 @@
 :class:`FleetServer` scales the single-server simulator horizontally
 without touching its event loop: N shards each run the existing
 :class:`~repro.serving.server.EnsembleServer` *unmodified*, fed by a
-front-end pass that replays the workload's arrival sequence through a
+front end that replays the workload's arrival sequence through a
 pluggable router (:mod:`repro.fleet.routers`) and fleet-wide admission
 control.
 
@@ -22,13 +22,20 @@ blows up. Shed queries emit a ``shed`` span plus a ``reject`` span
 (``reason="shed"``), making them visible to the SLO monitor and the
 fleet metrics without any shard ever seeing them.
 
-After the shards run (each over its own sub-workload, on the global
-clock), the fleet merges the per-shard span streams into one
-fleet-wide stream: local query ids are mapped back to global ids,
-worker ids are offset per shard, every span gains a ``shard``
-attribute, and the whole merged stream is replayed through the fleet's
-tracer — so ``profile``/``slo``/``diff`` work on the fleet exactly as
-on a single server, and per shard via the untouched shard results.
+Each shard is a streaming :class:`~repro.serving.server.ServingSession`
+on the global clock, fed the queries the front end admits to it. One
+run path serves every fleet: it steps in epochs, and with a
+:class:`~repro.control.config.ControlConfig` it advances the sessions
+to each epoch boundary and lets the SLO controller act in between. A
+static fleet is the degenerate case, one epoch that admits every
+arrival, so each shard's ``finish`` is exactly ``EnsembleServer.run``
+over its sub-workload. After the shards finish, the fleet merges the
+per-shard span streams into one fleet-wide stream: local query ids are
+mapped back to global ids, worker ids are offset per shard, every span
+gains a ``shard`` attribute, and the whole merged stream is replayed
+through the fleet's tracer — so ``profile``/``slo``/``diff`` work on
+the fleet exactly as on a single server, and per shard via the
+untouched shard results.
 
 Determinism: the routers are seeded, the fluid model is pure
 arithmetic, and each shard is the deterministic single-server
@@ -38,6 +45,7 @@ assignments and records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -80,11 +88,11 @@ class FleetResult:
         assignments: Global-order shard index per query, ``-1`` = shed.
         router: Routing policy name the run used.
         n_shed: Queries refused by admission control.
-        control_log: The controller's ordered action record (controlled
-            mode only; ``None`` for static runs). Its ``dumps()`` is
-            the byte-identical determinism contract.
+        control_log: The controller's ordered action record; ``None``
+            for a static fleet, which runs no controller. Its
+            ``dumps()`` is the byte-identical determinism contract.
         monitor: The live :class:`~repro.obs.slo.SLOMonitor` the
-            control loop ran against (controlled mode only).
+            control loop ran against; ``None`` for a static fleet.
         shard_snapshots: Per-shard live telemetry snapshot streams
             (``None`` unless the fleet tracer carried a
             :class:`~repro.obs.live.LiveTelemetry`).
@@ -208,13 +216,6 @@ class FleetServer:
         """Fleet size."""
         return self.config.n_shards
 
-    def _workers_per_shard(self) -> int:
-        return (
-            len(self.workers)
-            if self.workers is not None
-            else self.latencies.shape[0]
-        )
-
     def _score_ranks(self, workload: ServingWorkload) -> np.ndarray:
         """Per-query difficulty percentile rank in ``[0, 1]``.
 
@@ -280,194 +281,8 @@ class FleetServer:
     def run(self, workload: ServingWorkload) -> FleetResult:
         """Route, admit, run every shard, and merge the results.
 
-        With ``config.control`` set the run goes through the
-        epoch-interleaved controlled path instead (same contract, plus
-        ``control_log``/``monitor`` on the result).
-        """
-        if workload.n_models != self.latencies.shape[0]:
-            raise ValueError(
-                f"workload encodes {workload.n_models} models, fleet has "
-                f"{self.latencies.shape[0]}"
-            )
-        if self.config.control is not None:
-            return self._run_controlled(workload)
-        cfg = self.config
-        n_shards = cfg.n_shards
-        n = workload.n_queries
-        tracer = self.tracer
-        traced = tracer.enabled
-
-        self.router.reset()
-        self._redirect_rr = cfg.seed % n_shards
-        ranks = self._score_ranks(workload)
-        costs = self._query_costs(ranks)
-
-        # --- front-end pass: route + admission over the fluid model ---
-        assignments = np.full(n, -1, dtype=int)
-        shard_ids: List[List[int]] = [[] for _ in range(n_shards)]
-        # Virtual single-queue shard state: next-free time plus the
-        # (monotone) finish times of jobs still in the system.
-        free = [0.0] * n_shards
-        finishes: List[List[float]] = [[] for _ in range(n_shards)]
-        heads = [0] * n_shards  # drained prefix of each finish list
-        backlogs = [0] * n_shards
-        front_spans: List[Span] = []
-        n_shed = 0
-
-        for qid in range(n):
-            now = float(workload.arrivals[qid])
-            for shard in range(n_shards):
-                done = finishes[shard]
-                head = heads[shard]
-                while head < len(done) and done[head] <= now:
-                    head += 1
-                heads[shard] = head
-                backlogs[shard] = len(done) - head
-            chosen = self.router.choose(
-                qid,
-                int(workload.sample_indices[qid]),
-                float(ranks[qid]),
-                backlogs,
-            )
-            redirected = False
-            if backlogs[chosen] >= cfg.queue_limit:
-                # Admission control: one redirect to the least-loaded
-                # shard, then shed. Never admit onto a full shard.
-                fallback = self._redirect_target(backlogs)
-                if backlogs[fallback] < cfg.queue_limit:
-                    chosen = fallback
-                    redirected = True
-                else:
-                    n_shed += 1
-                    if traced:
-                        front_spans.append(Span(sp.SHED, now, qid, {
-                            "policy": self.router.name,
-                            "backlog": backlogs[chosen],
-                        }))
-                        front_spans.append(Span(sp.REJECT, now, qid, {
-                            "reason": "shed",
-                        }))
-                    continue
-            assignments[qid] = chosen
-            if traced:
-                front_spans.append(Span(sp.ROUTE, now, qid, {
-                    "shard": chosen,
-                    "backlog": backlogs[chosen],
-                    "policy": self.router.name,
-                    "redirected": redirected,
-                }))
-            shard_ids[chosen].append(qid)
-            start = max(free[chosen], now)
-            finish = start + float(costs[qid])
-            free[chosen] = finish
-            finishes[chosen].append(finish)
-
-        # --- run every shard on its sub-workload (global clock) ---
-        shard_query_ids = [np.asarray(ids, dtype=int) for ids in shard_ids]
-        shard_results: List[ServingResult] = []
-        shard_tracers: List[Optional[RecordingTracer]] = []
-        fleet_live = tracer.live if traced else None
-        self.shard_lives = []
-        for shard in range(n_shards):
-            ids = shard_query_ids[shard]
-            sub = ServingWorkload(
-                arrivals=workload.arrivals[ids],
-                deadlines=workload.deadlines[ids],
-                sample_indices=workload.sample_indices[ids],
-                quality=workload.quality,
-                utilities=workload.utilities,
-            )
-            shard_tracer = None
-            if traced:
-                shard_live = None
-                if fleet_live is not None:
-                    # One live plane per shard (same knobs as the
-                    # fleet's); the rollup below merges their snapshot
-                    # streams boundary-by-boundary.
-                    shard_live = LiveTelemetry(
-                        fleet_live.config, source=f"shard{shard}"
-                    )
-                    self.shard_lives.append(shard_live)
-                shard_tracer = RecordingTracer(live=shard_live)
-            server = EnsembleServer.from_config(
-                self.latencies,
-                self.policies[shard],
-                cfg.shards[shard],
-                workers=self.workers,
-                tracer=shard_tracer,
-            )
-            shard_results.append(server.run(sub))
-            shard_tracers.append(shard_tracer)
-
-        # --- merge: remap ids, tag shards, replay through the tracer ---
-        shard_spans: Optional[List[List[Span]]] = None
-        if traced:
-            per_shard_workers = self._workers_per_shard()
-            shard_spans = []
-            streams = [[(span.time, -1, i, span)
-                        for i, span in enumerate(front_spans)]]
-            for shard, shard_tracer in enumerate(shard_tracers):
-                ids = shard_query_ids[shard]
-                offset = shard * per_shard_workers
-                remapped = []
-                for span in shard_tracer.spans:
-                    attrs = dict(span.attrs)
-                    attrs["shard"] = shard
-                    if "worker" in attrs:
-                        attrs["worker"] = int(attrs["worker"]) + offset
-                    gid = (
-                        int(ids[span.query_id])
-                        if span.query_id >= 0 else -1
-                    )
-                    remapped.append(Span(span.kind, span.time, gid, attrs))
-                shard_spans.append(remapped)
-                streams.append([
-                    (span.time, shard, i, span)
-                    for i, span in enumerate(remapped)
-                ])
-            merged_stream = sorted(
-                (entry for stream in streams for entry in stream),
-                key=lambda entry: entry[:3],
-            )
-            for _, _, _, span in merged_stream:
-                tracer.emit(span.kind, span.time, span.query_id, **span.attrs)
-            end = max(
-                [t.end_time for t in shard_tracers if t is not None],
-                default=0.0,
-            )
-            if front_spans:
-                end = max(end, front_spans[-1].time)
-            tracer.finalize(end)
-
-        shard_snapshots: Optional[List[List[TelemetrySnapshot]]] = None
-        fleet_snapshots: Optional[List[TelemetrySnapshot]] = None
-        if self.shard_lives:
-            shard_snapshots = [
-                list(live.snapshots) for live in self.shard_lives
-            ]
-            fleet_snapshots = rollup_snapshots(shard_snapshots)
-
-        merged = self._merge_results(
-            workload, assignments, shard_results, shard_query_ids
-        )
-        return FleetResult(
-            merged=merged,
-            shard_results=shard_results,
-            shard_query_ids=shard_query_ids,
-            shard_spans=shard_spans,
-            assignments=assignments,
-            router=self.router.name,
-            n_shed=n_shed,
-            shard_snapshots=shard_snapshots,
-            fleet_snapshots=fleet_snapshots,
-        )
-
-    def _run_controlled(self, workload: ServingWorkload) -> FleetResult:
-        """Epoch-interleaved run with the SLO control loop closed.
-
-        The static path runs front end and shards as two sequential
-        passes, so nothing can react mid-run. Here the fleet advances
-        in epochs of ``control.interval`` simulated seconds:
+        The fleet advances in epochs of ``control.interval`` simulated
+        seconds:
 
         1. **admit** the epoch's arrivals through router + admission
            (under the *current* queue limit) and offer them to the
@@ -485,11 +300,20 @@ class FleetServer:
         After the last arrival the loop keeps epoch-stepping until the
         shards are drained *and* the controller has unwound every
         actuation (bounded by the alert window plus a full cooldown
-        unwind, as a safety net). Everything is deterministic — seeded
-        router and rotation, fluid arithmetic, event-ordered monitor —
-        so a fixed (trace, seed) replays to a byte-identical
+        unwind, as a safety net). A static fleet (``config.control``
+        is ``None``) is the degenerate case: one epoch that admits
+        every arrival, with no monitor or controller, after which each
+        shard's ``finish`` is exactly ``EnsembleServer.run`` over its
+        sub-workload. Everything is deterministic — seeded router and
+        rotation, fluid arithmetic, event-ordered monitor — so a fixed
+        (trace, seed) replays to byte-identical records and
         ``control_log``.
         """
+        if workload.n_models != self.latencies.shape[0]:
+            raise ValueError(
+                f"workload encodes {workload.n_models} models, fleet has "
+                f"{self.latencies.shape[0]}"
+            )
         cfg = self.config
         control = cfg.control
         n_shards = cfg.n_shards
@@ -502,31 +326,55 @@ class FleetServer:
         ranks = self._score_ranks(workload)
         costs = self._query_costs(ranks)
 
-        monitor = SLOMonitor(control.slo)
-        controller = Controller(control, monitor, n_shards)
         # Monitor breach/recovery spans and controller decision spans
         # share one side stream, in emission order.
         ctrl_tracer = RecordingTracer()
-        monitor.bind(ctrl_tracer)
+        monitor: Optional[SLOMonitor] = None
+        controller: Optional[Controller] = None
+        if control is not None:
+            monitor = SLOMonitor(control.slo)
+            controller = Controller(control, monitor, n_shards)
+            monitor.bind(ctrl_tracer)
+            interval = control.interval
+            cheap_mask = (
+                control.cheap_mask
+                if control.cheap_mask is not None
+                else 1 << int(np.argmin(self.latencies))
+            )
+            # In degraded mode every dispatch is clamped to the cheap
+            # subset, whose members run in parallel on distinct workers
+            # — the fluid service estimate drops to the subset's
+            # bottleneck latency so admission tracks what the shards
+            # actually execute (pricing full-quality work would keep
+            # shedding queries the degraded fleet can absorb).
+            cheap_cost = float(max(
+                self.latencies[k]
+                for k in range(self.latencies.shape[0])
+                if (cheap_mask >> k) & 1
+            ))
 
-        # Shards always record internally: the harvest step reads their
-        # COMPLETE/REJECT spans to feed the monitor mid-run. When the
-        # fleet tracer carries a live plane, each shard gets its own
-        # (ticked per epoch by session.advance, so `top` sees genuine
-        # mid-run state) and the controller's action log is attached to
-        # the fleet plane for incident bundles.
+        # Shards record when the merge replays their spans (a traced
+        # fleet) or the harvest step reads their COMPLETE/REJECT spans
+        # to feed the monitor mid-run (a controlled one); otherwise
+        # they run untraced. When the fleet tracer carries a live
+        # plane, each shard gets its own (ticked per epoch by
+        # session.advance, so `top` sees genuine mid-run state; the
+        # rollup below merges their snapshot streams boundary by
+        # boundary) and the controller's action log is attached to the
+        # fleet plane for incident bundles.
         fleet_live = tracer.live if traced else None
         self.shard_lives = []
-        shard_tracers = []
-        for shard in range(n_shards):
-            shard_live = None
-            if fleet_live is not None:
-                shard_live = LiveTelemetry(
-                    fleet_live.config, source=f"shard{shard}"
-                )
-                self.shard_lives.append(shard_live)
-            shard_tracers.append(RecordingTracer(live=shard_live))
-        if fleet_live is not None:
+        shard_tracers: List[RecordingTracer] = []
+        if traced or control is not None:
+            for shard in range(n_shards):
+                shard_live = None
+                if fleet_live is not None:
+                    shard_live = LiveTelemetry(
+                        fleet_live.config, source=f"shard{shard}"
+                    )
+                    self.shard_lives.append(shard_live)
+                shard_tracers.append(RecordingTracer(live=shard_live))
+        if fleet_live is not None and controller is not None:
             fleet_live.attach_control_log(controller.log)
         servers = [
             EnsembleServer.from_config(
@@ -534,19 +382,21 @@ class FleetServer:
                 self.policies[shard],
                 cfg.shards[shard],
                 workers=self.workers,
-                tracer=shard_tracers[shard],
+                tracer=shard_tracers[shard] if shard_tracers else None,
             )
             for shard in range(n_shards)
         ]
         sessions = [server.session() for server in servers]
 
-        # Fluid front-end state, capacity-aware: an admitted query's
-        # virtual service time shrinks with the shard's active replica
-        # sets, so the backlog estimate tracks scaled capacity. Sets
-        # the controller adds only count once their warmup elapses.
+        # Fluid front-end state: per virtual single-queue shard, its
+        # next-free time plus the (monotone) finish times of jobs still
+        # in the system. Capacity-aware: an admitted query's virtual
+        # service time shrinks with the shard's active replica sets, so
+        # the backlog estimate tracks scaled capacity. Sets the
+        # controller adds only count once their warmup elapses.
         free = [0.0] * n_shards
         finishes: List[List[float]] = [[] for _ in range(n_shards)]
-        heads = [0] * n_shards
+        heads = [0] * n_shards  # drained prefix of each finish list
         backlogs = [0] * n_shards
         capacity = [1] * n_shards
         pending_cap: List[Tuple[float, int]] = []  # (activate_time, shard)
@@ -561,47 +411,38 @@ class FleetServer:
         consumed = [0] * n_shards
         n_shed = 0
         eff_limit = cfg.queue_limit
-        cheap_mask = (
-            control.cheap_mask
-            if control.cheap_mask is not None
-            else 1 << int(np.argmin(self.latencies))
-        )
-        # In degraded mode every dispatch is clamped to the cheap
-        # subset, whose members run in parallel on distinct workers —
-        # the fluid service estimate drops to the subset's bottleneck
-        # latency so admission tracks what the shards actually execute
-        # (pricing full-quality work would keep shedding queries the
-        # degraded fleet can absorb).
-        cheap_cost = float(max(
-            self.latencies[k]
-            for k in range(self.latencies.shape[0])
-            if (cheap_mask >> k) & 1
-        ))
         degraded = False
-        interval = control.interval
 
-        def harvest(into: List[Tuple]) -> None:
-            """Collect outcomes the shards resolved since last call."""
+        def harvest(outcomes: List[Tuple]) -> None:
+            """Feed the monitor ``outcomes`` (the front end's sheds) plus
+            the outcomes the shards resolved since the last call, in
+            global ``(time, shard, seq)`` order."""
             for shard in range(n_shards):
                 spans = shard_tracers[shard].spans
                 for i in range(consumed[shard], len(spans)):
                     span = spans[i]
                     if span.kind == sp.COMPLETE:
-                        into.append((
+                        outcomes.append((
                             span.time, shard, i,
                             float(span.attrs.get("slack", 0.0)) < 0.0,
                             bool(span.attrs.get("degraded", False)),
                         ))
                     elif span.kind == sp.REJECT:
-                        into.append((span.time, shard, i, True, False))
+                        outcomes.append((span.time, shard, i, True, False))
                 consumed[shard] = len(spans)
+            outcomes.sort(key=lambda o: o[:3])
+            for t_o, _, _, missed, was_degraded in outcomes:
+                monitor.observe(t_o, missed=missed, degraded=was_degraded)
 
         qi = 0
         epoch = 0
         idle_since = None
         while True:
-            t_end = epoch * interval + interval
-            activate(epoch * interval)
+            if control is None:  # static: one epoch admits everything
+                t_end = math.inf
+            else:
+                t_end = epoch * interval + interval
+                activate(epoch * interval)
             outcomes: List[Tuple] = []
 
             # -- 1. admit this epoch's arrivals through the front end --
@@ -625,30 +466,33 @@ class FleetServer:
                 )
                 redirected = False
                 if backlogs[chosen] >= eff_limit:
+                    # Admission control: one redirect to the
+                    # least-loaded shard, then shed. Never admit onto a
+                    # full shard.
                     fallback = self._redirect_target(backlogs)
                     if backlogs[fallback] < eff_limit:
                         chosen = fallback
                         redirected = True
                     else:
                         n_shed += 1
-                        front_spans.append(Span(sp.SHED, now, qid, {
-                            "policy": self.router.name,
-                            "backlog": backlogs[chosen],
-                        }))
-                        front_spans.append(Span(sp.REJECT, now, qid, {
-                            "reason": "shed",
-                        }))
-                        outcomes.append(
-                            (now, -1, len(front_spans), True, False)
-                        )
+                        if traced:
+                            front_spans.append(Span(sp.SHED, now, qid, {
+                                "policy": self.router.name,
+                                "backlog": backlogs[chosen],
+                            }))
+                            front_spans.append(Span(sp.REJECT, now, qid, {
+                                "reason": "shed",
+                            }))
+                        outcomes.append((now, -1, qid, True, False))
                         continue
                 assignments[qid] = chosen
-                front_spans.append(Span(sp.ROUTE, now, qid, {
-                    "shard": chosen,
-                    "backlog": backlogs[chosen],
-                    "policy": self.router.name,
-                    "redirected": redirected,
-                }))
+                if traced:
+                    front_spans.append(Span(sp.ROUTE, now, qid, {
+                        "shard": chosen,
+                        "backlog": backlogs[chosen],
+                        "policy": self.router.name,
+                        "redirected": redirected,
+                    }))
                 shard_ids[chosen].append(qid)
                 start = max(free[chosen], now)
                 cost = (
@@ -663,6 +507,8 @@ class FleetServer:
                     float(workload.deadlines[qid]),
                     int(workload.sample_indices[qid]),
                 )
+            if control is None:
+                break
 
             # -- 2. advance every shard to the epoch boundary --
             for session in sessions:
@@ -670,9 +516,6 @@ class FleetServer:
 
             # -- 3. harvest resolved outcomes into the monitor --
             harvest(outcomes)
-            outcomes.sort(key=lambda o: o[:3])
-            for t_o, _, _, missed, was_degraded in outcomes:
-                monitor.observe(t_o, missed=missed, degraded=was_degraded)
 
             # -- 4. decide and actuate --
             for action in controller.tick(t_end):
@@ -744,21 +587,17 @@ class FleetServer:
                     break
 
         shard_results = [session.finish() for session in sessions]
-        # Fold outcomes resolved during finish (unserved rejects).
-        tail: List[Tuple] = []
-        harvest(tail)
-        tail.sort(key=lambda o: o[:3])
-        for t_o, _, _, missed, was_degraded in tail:
-            monitor.observe(t_o, missed=missed, degraded=was_degraded)
-
+        if monitor is not None:
+            # Fold outcomes resolved during finish (unserved rejects).
+            harvest([])
         end = max(
             [t.end_time for t in shard_tracers]
             + [span.time for span in ctrl_tracer.spans[-1:]]
-            + [span.time for span in front_spans[-1:]],
+            + [float(t) for t in workload.arrivals[-1:]],
             default=0.0,
         )
-        monitor.finalize(end)
-        ctrl_tracer.finalize(end)
+        if monitor is not None:
+            monitor.finalize(end)
 
         # -- merge: remap ids, tag shards, replay through the tracer --
         shard_query_ids = [np.asarray(ids, dtype=int) for ids in shard_ids]
@@ -826,7 +665,7 @@ class FleetServer:
             assignments=assignments,
             router=self.router.name,
             n_shed=n_shed,
-            control_log=controller.log,
+            control_log=controller.log if controller is not None else None,
             monitor=monitor,
             shard_snapshots=shard_snapshots,
             fleet_snapshots=fleet_snapshots,

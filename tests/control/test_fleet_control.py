@@ -7,6 +7,7 @@ from repro.control import ControlConfig
 from repro.faults import DowntimeWindow, FaultPlan
 from repro.fleet import FleetConfig, FleetServer
 from repro.obs import spans as sp
+from repro.obs.export import metrics_to_prometheus
 from repro.obs.slo import SLOConfig
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
@@ -76,12 +77,12 @@ def control_config(**overrides):
 
 
 def run_fleet(workload, control, *, tracer=None, queue_limit=8,
-              n_shards=2, seed=0):
+              n_shards=2, seed=0, shard=ServerConfig()):
     policy, _ = make_policy()
     fleet = FleetServer.from_config(
         LATENCIES, policy,
         FleetConfig.uniform(
-            n_shards, ServerConfig(), queue_limit=queue_limit,
+            n_shards, shard, queue_limit=queue_limit,
             seed=seed, control=control,
         ),
         tracer=tracer,
@@ -182,11 +183,39 @@ class TestDeterminism:
         assert ups_a[0] != ups_b[0]
 
 
+def without_wall(spans):
+    """Spans as comparable tuples, minus the host-time ``wall_s``."""
+    return [
+        (s.kind, s.time, s.query_id,
+         {k: v for k, v in s.attrs.items() if k != "wall_s"})
+        for s in spans
+    ]
+
+
+def prometheus_without_wall(registry):
+    """Exposition lines, minus the host-time (wall-clock) series."""
+    return [
+        line for line in metrics_to_prometheus(registry).splitlines()
+        if "wall" not in line
+    ]
+
+
+QUIET_FAULTS = ServerConfig(
+    faults=FaultPlan(
+        seed=5, task_failure_rate=0.02, latency_jitter=0.2,
+        downtime=(DowntimeWindow(0, 7.0, 7.5),),
+    ),
+    task_timeout=0.02, max_retries=1, retry_backoff=0.001,
+)
+
+
 class TestQuietWorkloadEquivalence:
     """With no breach the controller never acts, and the controlled
-    run must serve every query exactly like the static two-pass run."""
+    run must match the static run on everything observable: records,
+    placements, the merged span stream, its metrics and the per-shard
+    spans."""
 
-    def test_idle_controller_matches_static(self):
+    def check_quiet_run(self, shard):
         policy, quality = make_policy()
         rng = np.random.default_rng(3)
         n = 300
@@ -196,19 +225,37 @@ class TestQuietWorkloadEquivalence:
             sample_indices=rng.integers(quality.shape[0], size=n),
             quality=quality,
         )
-        static = run_fleet(workload, None, queue_limit=32)
+        static_tracer, controlled_tracer = RecordingTracer(), RecordingTracer()
+        static = run_fleet(
+            workload, None, queue_limit=32, tracer=static_tracer,
+            shard=shard,
+        )
         controlled = run_fleet(
-            workload, control_config(), queue_limit=32
+            workload, control_config(), queue_limit=32,
+            tracer=controlled_tracer, shard=shard,
         )
         assert len(controlled.control_log) == 0
         assert controlled.monitor.episodes == []
-        for a, b in zip(static.merged.records, controlled.merged.records):
-            assert a.rejected == b.rejected
-            assert a.completion == b.completion
-            assert a.executed_mask == b.executed_mask
+        assert static.merged.records == controlled.merged.records
         np.testing.assert_array_equal(
             static.assignments, controlled.assignments
         )
+        assert without_wall(static_tracer.spans) == without_wall(
+            controlled_tracer.spans
+        )
+        assert prometheus_without_wall(
+            static_tracer.metrics
+        ) == prometheus_without_wall(controlled_tracer.metrics)
+        assert [without_wall(s) for s in static.shard_spans] == [
+            without_wall(s) for s in controlled.shard_spans
+        ]
+
+    def test_idle_controller_matches_static(self):
+        self.check_quiet_run(ServerConfig())
+
+    @pytest.mark.faults
+    def test_idle_controller_matches_static_under_faults(self):
+        self.check_quiet_run(QUIET_FAULTS)
 
 
 CRASH_WINDOWS = ((10.73, 12.5), (20.61, 21.8))
