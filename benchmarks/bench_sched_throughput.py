@@ -1,33 +1,40 @@
-"""Benchmark guard: the vectorized DP scheduler must be fast *and*
-bit-exact.
+"""Benchmark guard: the DP's numpy kernel must be fast *and* bit-exact.
 
 Run as a script (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_sched_throughput.py [--quick]
 
-Three checks:
+``DPScheduler.schedule`` serves small instances with the loop form and
+large ones with the kernel. Every check here calls the kernel itself
+(``DPScheduler.schedule_kernel``) and the loop form itself
+(:class:`DPReferenceScheduler`), never the size dispatch, which would
+run the loop form on both sides of a small instance. Three checks:
 
 * **Parity** — on randomized instances (mixed buffer sizes, ensemble
   sizes, latency profiles, downed models and quantisation steps) the
-  vectorized :class:`DPScheduler` must return exactly the same
-  decisions, total utility and work units as the pure-Python
-  :class:`DPReferenceScheduler`. Not "close": equal.
+  kernel must return exactly the same decisions, total utility and
+  work units as the loop form. Not "close": equal.
 * **Speedup** — min-of-N interleaved timing over a buffer-size grid;
-  the vectorized path must beat the reference by ``MIN_SPEEDUP`` at
-  every grid point at or above 16 queries / 4 models (full mode only —
-  CI runners are too noisy for an absolute floor).
+  the kernel must beat the loop form by ``MIN_SPEEDUP`` at every grid
+  point at or above 16 queries / 4 models (full mode only — CI
+  runners are too noisy for an absolute floor).
 * **Regression** — current speedups are compared against the committed
   ``benchmarks/results/BENCH_sched.json`` (read *before* it is
   overwritten): any grid point falling below half its committed
   speedup fails the run. This is the check CI's perf-smoke job
   enforces on every push.
 
-A fourth, vectorized-only measurement times the DP at serving-scale
-buffers (64 and 128 queries x 6 models) where the pure-Python
-reference is infeasible. These points record the exact-DP step cost
-the learned fast path (``benchmarks/bench_policy_distill.py``) is
-gated against, and regression-check on the *ratio* to the 16x4 anchor
-point — a machine-portable number, unlike absolute seconds.
+A fourth, kernel-only measurement times the DP at serving-scale
+buffers (64 and 128 queries x 6 models) where the loop form is
+infeasible. These points record the exact-DP step cost the learned
+fast path (``benchmarks/bench_policy_distill.py``) is gated against,
+and regression-check on the *ratio* to the 16x4 anchor point — a
+machine-portable number, unlike absolute seconds.
+
+A crossover table, with no gate, records the evidence for
+``LOOP_FORM_MAX_SIZE``: microseconds per call of each form and the
+form the dispatch picks, on 1, 2, 3, 4 and 6 models x 1-8 queries,
+with tight and with loose deadlines.
 
 ``--quick`` shrinks the parity set and timing grid for CI.
 Results go to ``benchmarks/results/BENCH_sched.json``.
@@ -43,7 +50,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.scheduling.dp import DPScheduler  # noqa: E402
+from repro.scheduling.dp import LOOP_FORM_MAX_SIZE, DPScheduler  # noqa: E402
 from repro.scheduling.dp_reference import DPReferenceScheduler  # noqa: E402
 from repro.scheduling.problem import (  # noqa: E402
     QueryRequest,
@@ -66,9 +73,9 @@ REPEATS = 3
 INSTANCES_PER_POINT_QUICK = 2
 REPEATS_QUICK = 2
 
-# Serving-scale buffers: vectorized DP only (the reference would take
-# minutes per instance), timed per-instance and gated on the ratio to
-# the LARGE_RATIO_ANCHOR small-grid point.
+# Serving-scale buffers: kernel only (the loop form would take minutes
+# per instance), timed per-instance and gated on the ratio to the
+# LARGE_RATIO_ANCHOR small-grid point.
 LARGE_GRID = ((64, 6), (128, 6))
 LARGE_GRID_QUICK = ((64, 6),)
 LARGE_INSTANCES = 1
@@ -77,13 +84,21 @@ LARGE_REPEATS_QUICK = 1
 LARGE_RATIO_ANCHOR = (16, 4)
 LARGE_REGRESSION_FACTOR = 3.0
 
-# Required vectorized-over-reference speedup at grid points with
-# >= 16 queries and 4 models (the serving sweet spot ISSUE targets).
+# Required kernel-over-loop-form speedup at grid points with >= 16
+# queries and 4 models, where serving runs the kernel.
 MIN_SPEEDUP = 3.0
 MIN_SPEEDUP_QUERIES = 16
 MIN_SPEEDUP_MODELS = 4
 # Regression tolerance vs the committed baseline speedups.
 REGRESSION_FACTOR = 2.0
+
+# Crossover table: ensemble sizes x buffer sizes, both deadline ranges.
+CROSSOVER_MODELS = (1, 2, 3, 4, 6)
+CROSSOVER_QUERIES = tuple(range(1, 9))
+CROSSOVER_INSTANCES = 4
+CROSSOVER_REPEATS = 3
+CROSSOVER_INSTANCES_QUICK = 2
+CROSSOVER_REPEATS_QUICK = 1
 
 
 def make_instance(rng, n_queries, n_models, equal_latencies=False,
@@ -122,7 +137,8 @@ def make_instance(rng, n_queries, n_models, equal_latencies=False,
 
 
 def check_parity(n_instances):
-    """Decision-for-decision equality on randomized instances."""
+    """Decision-for-decision equality of the kernel and the loop form
+    on randomized instances."""
     rng = np.random.default_rng(2023)
     mismatches = []
     for i in range(n_instances):
@@ -135,7 +151,7 @@ def check_parity(n_instances):
             tight_deadlines=bool(i % 4 == 0),
         )
         delta = PARITY_DELTAS[i % len(PARITY_DELTAS)]
-        vec = DPScheduler(delta=delta).schedule(instance)
+        vec = DPScheduler(delta=delta).schedule_kernel(instance)
         ref = DPReferenceScheduler(delta=delta).schedule(instance)
         same = (
             [(d.query_id, d.mask) for d in vec.decisions]
@@ -157,8 +173,25 @@ def check_parity(n_instances):
     }, not mismatches
 
 
+def best_times(forms, instances, repeats):
+    """Min-of-``repeats`` seconds per ``(name, solve)`` form over
+    ``instances``, the forms interleaved. One call per form on the first
+    instance warms the per-instance mask/quantisation caches, so the
+    timed region measures scheduling, not one-off table construction."""
+    for _, solve in forms:
+        solve(instances[0])
+    best = {name: float("inf") for name, _ in forms}
+    for _ in range(repeats):
+        for name, solve in forms:
+            start = time.perf_counter()
+            for instance in instances:
+                solve(instance)
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
 def time_grid(grid, instances_per_point, repeats):
-    """Min-of-N interleaved timing of both schedulers per grid point."""
+    """Min-of-N interleaved timing of both forms per grid point."""
     results = []
     for n_queries, n_models in grid:
         rng = np.random.default_rng(7 * n_queries + n_models)
@@ -166,19 +199,15 @@ def time_grid(grid, instances_per_point, repeats):
             make_instance(rng, n_queries, n_models)
             for _ in range(instances_per_point)
         ]
-        vec = DPScheduler(delta=TIMING_DELTA)
-        ref = DPReferenceScheduler(delta=TIMING_DELTA)
-        # Warm the per-instance mask/quantisation caches so the timed
-        # region measures scheduling, not one-off table construction.
-        for scheduler in (vec, ref):
-            scheduler.schedule(instances[0])
-        best = {"vectorized": float("inf"), "reference": float("inf")}
-        for _ in range(repeats):
-            for name, scheduler in (("vectorized", vec), ("reference", ref)):
-                start = time.perf_counter()
-                for instance in instances:
-                    scheduler.schedule(instance)
-                best[name] = min(best[name], time.perf_counter() - start)
+        best = best_times(
+            (
+                ("vectorized",
+                 DPScheduler(delta=TIMING_DELTA).schedule_kernel),
+                ("reference",
+                 DPReferenceScheduler(delta=TIMING_DELTA).schedule),
+            ),
+            instances, repeats,
+        )
         results.append({
             "n_queries": n_queries,
             "n_models": n_models,
@@ -193,9 +222,9 @@ def time_grid(grid, instances_per_point, repeats):
 
 
 def time_large_grid(grid, repeats, anchor_per_instance_s):
-    """Vectorized-DP-only timing at serving-scale buffer sizes.
+    """Kernel-only timing at serving-scale buffer sizes.
 
-    No reference column: the pure-Python DP takes minutes per instance
+    No reference column: the loop form takes minutes per instance
     here. Each point also records its per-instance cost as a multiple
     of the small-grid anchor point, which is what the regression gate
     compares — absolute seconds vary with the machine, the ratio of
@@ -208,12 +237,12 @@ def time_large_grid(grid, repeats, anchor_per_instance_s):
             make_instance(rng, n_queries, n_models)
             for _ in range(LARGE_INSTANCES)
         ]
-        vec = DPScheduler(delta=TIMING_DELTA)
+        kernel = DPScheduler(delta=TIMING_DELTA).schedule_kernel
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
             for instance in instances:
-                vec.schedule(instance)
+                kernel(instance)
             best = min(best, time.perf_counter() - start)
         per_instance = best / len(instances)
         results.append({
@@ -226,6 +255,42 @@ def time_large_grid(grid, repeats, anchor_per_instance_s):
             "per_instance_s": per_instance,
             "ratio_to_anchor": per_instance / anchor_per_instance_s,
         })
+    return results
+
+
+def time_crossover(instances_per_point, repeats):
+    """Microseconds per call of each form, and the form the size
+    dispatch picks, over the crossover grid. Recorded, not gated."""
+    results = []
+    for tight in (True, False):
+        for n_models in CROSSOVER_MODELS:
+            for n_queries in CROSSOVER_QUERIES:
+                rng = np.random.default_rng(7 * n_queries + n_models)
+                instances = [
+                    make_instance(
+                        rng, n_queries, n_models, tight_deadlines=tight
+                    )
+                    for _ in range(instances_per_point)
+                ]
+                scheduler = DPScheduler(delta=TIMING_DELTA)
+                best = best_times(
+                    (
+                        ("kernel", scheduler.schedule_kernel),
+                        ("loop", scheduler.schedule_loop),
+                    ),
+                    instances, repeats,
+                )
+                size = n_queries << n_models
+                results.append({
+                    "deadlines": "tight" if tight else "loose",
+                    "n_queries": n_queries,
+                    "n_models": n_models,
+                    "kernel_us": best["kernel"] / len(instances) * 1e6,
+                    "loop_us": best["loop"] / len(instances) * 1e6,
+                    "dispatch": (
+                        "loop" if size <= LOOP_FORM_MAX_SIZE else "kernel"
+                    ),
+                })
     return results
 
 
@@ -279,6 +344,29 @@ def check_regression(timing, committed):
     return failures, not failures
 
 
+def format_crossover(crossover):
+    """The crossover table: kernel/loop-form µs per call per grid point,
+    upper-case where the dispatch picks that form."""
+    lines = [
+        f"crossover (µs per call, kernel/loop; the dispatch runs the "
+        f"loop form up to n_queries * 2**n_models = {LOOP_FORM_MAX_SIZE}, "
+        f"marked L, else the kernel, marked K):",
+        "deadlines  models  " + "  ".join(
+            f"{n:>15d}" for n in CROSSOVER_QUERIES
+        ),
+    ]
+    rows = {}
+    for point in crossover:
+        key = (point["deadlines"], point["n_models"])
+        mark = "L" if point["dispatch"] == "loop" else "K"
+        rows.setdefault(key, []).append(
+            f"{point['kernel_us']:7.0f}/{point['loop_us']:<7.0f}{mark}"
+        )
+    for (deadlines, n_models), cells in rows.items():
+        lines.append(f"{deadlines:<9s}  {n_models:<6d}  " + "  ".join(cells))
+    return lines
+
+
 def main(argv=None):
     quick = "--quick" in (argv if argv is not None else sys.argv[1:])
     # The committed baseline must be read before this run overwrites it.
@@ -319,6 +407,13 @@ def main(argv=None):
               f"(no reference; {point['ratio_to_anchor']:.0f}x the "
               f"{LARGE_RATIO_ANCHOR[0]}x{LARGE_RATIO_ANCHOR[1]} anchor)")
 
+    crossover = time_crossover(
+        CROSSOVER_INSTANCES_QUICK if quick else CROSSOVER_INSTANCES,
+        CROSSOVER_REPEATS_QUICK if quick else CROSSOVER_REPEATS,
+    )
+    crossover_lines = format_crossover(crossover)
+    print("\n".join(crossover_lines))
+
     regressions, regression_ok = check_regression(timing, committed)
     large_regressions, large_ok = check_large_regression(
         large_timing, committed
@@ -346,14 +441,16 @@ def main(argv=None):
         "regression_factor": REGRESSION_FACTOR,
         "large_regression_factor": LARGE_REGRESSION_FACTOR,
         "large_ratio_anchor": list(LARGE_RATIO_ANCHOR),
+        "loop_form_max_size": LOOP_FORM_MAX_SIZE,
+        "crossover": crossover,
     }
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RESULTS_PATH}")
 
     lines = [
-        "DP scheduler throughput — vectorized kernel vs pure-Python "
-        "reference (bit-exact plans)",
+        "DP scheduler throughput — numpy kernel vs loop form "
+        "(bit-exact plans)",
         f"parity: {n_parity} randomized instances, "
         f"{len(parity['mismatches'])} mismatches "
         f"(deltas {PARITY_DELTAS})",
@@ -368,8 +465,8 @@ def main(argv=None):
             f"{point['speedup']:.2f}x"
         )
     lines.append("")
-    lines.append("serving-scale buffers (vectorized DP only — the "
-                 "reference is infeasible here):")
+    lines.append("serving-scale buffers (kernel only — the loop form "
+                 "is infeasible here):")
     for point in large_timing:
         lines.append(
             f"{point['n_queries']:<6d}  {point['n_models']:<6d}  "
@@ -377,10 +474,12 @@ def main(argv=None):
             f"({point['ratio_to_anchor']:.0f}x the "
             f"{LARGE_RATIO_ANCHOR[0]}x{LARGE_RATIO_ANCHOR[1]} anchor)"
         )
+    lines.append("")
+    lines.extend(crossover_lines)
     TABLE_PATH.write_text("\n".join(lines) + "\n")
 
     if not parity_ok:
-        print("FAIL: vectorized DP diverged from the reference")
+        print("FAIL: the kernel diverged from the loop form")
         return 1
     for failure in regressions:
         print(f"FAIL: speedup {failure['speedup']:.2f}x at "

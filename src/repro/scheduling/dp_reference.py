@@ -1,195 +1,31 @@
-"""Reference (pure-Python) DP scheduler — the semantic oracle.
+"""The exact DP pinned to its loop form at every buffer size.
 
-This is Algorithm 1 in its original loop-per-candidate form, kept so the
-vectorized :class:`~repro.scheduling.dp.DPScheduler` has something to be
-*bit-exact* against: ``benchmarks/bench_sched_throughput.py`` and
-``tests/scheduling/test_dp_vectorized.py`` assert decision-for-decision,
-work-unit-for-work-unit equality between the two on randomized
-instances. Keep the two files in lockstep — any semantic change lands
-here first, in the readable form, then in the vectorized kernel.
-
-Shared semantics (identical in both implementations):
-
-* **Canonical candidate order.** A cell's candidates are sorted by
-  ``(sum(finish_times), finish_times, parent_rank, mask)`` before
-  dominance pruning, and the frontier cap keeps the first
-  ``max_solutions_per_cell`` survivors of that order. ``parent_rank``
-  is the extended entry's position in the previous table flattened in
-  ascending-cell order — a total tie-break that both implementations
-  compute for free (two candidates can easily share bit-identical
-  finish times: any two plans running each model the same number of
-  times do). This makes the frontier a pure function of the candidate
-  *set*, independent of enumeration order — the property the
-  vectorized path relies on.
-* **Unified work units.** One unit per non-empty candidate subset per
-  frontier entry per query; the skip continuation is free (see
-  :class:`~repro.scheduling.problem.ScheduleResult`).
-* **Unquantised tie-break.** The final plan comes from the cell with
-  the largest quantised reward, but among that cell's frontier entries
-  ties are broken by the *unquantised* total reward, then by
-  ``sum(finish_times)``, then by canonical order — two plans that floor
-  identically no longer hide the strictly better one.
+:class:`~repro.scheduling.dp.DPScheduler` holds Algorithm 1 in two
+bit-exact forms and picks one per instance by size: the plain-Python
+loop form on small buffers, the numpy kernel on large ones (see
+``dp.py``). :class:`DPReferenceScheduler` always runs the
+loop form, through the same code the small-buffer path runs. It is the
+readable definition of the algorithm that the kernel is checked
+against, and a scheduler in its own right: on large buffers it is
+several times slower than the kernel (``BENCH_sched.json``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.scheduling.orders import edf_order
-from repro.scheduling.problem import (
-    ScheduleDecision,
-    ScheduleResult,
-    SchedulingInstance,
-)
-from repro.utils.validation import check_positive
-
-# A table cell holds canonically-ordered Pareto-minimal
-# (finish-times, choices) pairs; candidates additionally carry the
-# (parent_rank, mask) tie-break keys.
-_Solution = Tuple[Tuple[float, ...], Tuple[int, ...]]
-_Candidate = Tuple[Tuple[float, ...], Tuple[int, ...], int, int]
-
-_EPS = 1e-12
+from repro.scheduling.dp import DPScheduler
+from repro.scheduling.problem import ScheduleResult, SchedulingInstance
 
 
-def _prune(candidates: List[_Candidate], cap: int) -> List[_Solution]:
-    """Canonical order + dominance prune + frontier cap.
+class DPReferenceScheduler(DPScheduler):
+    """:class:`~repro.scheduling.dp.DPScheduler` in the loop form only.
 
-    Vector A dominates B when A is componentwise <= B (+eps): any
-    continuation feasible from B is feasible from A at equal reward.
-    Sorting by (sum, times, parent_rank, mask) first means a kept
-    vector can only be dominated by an earlier kept one, so a single
-    forward pass suffices; the cap keeps the first ``cap`` survivors.
-    """
-    candidates = sorted(
-        candidates, key=lambda s: (sum(s[0]), s[0], s[2], s[3])
-    )
-    kept: List[_Solution] = []
-    for times, choices, _, _ in candidates:
-        dominated = False
-        for kept_times, _ in kept:
-            if all(kt <= t + _EPS for kt, t in zip(kept_times, times)):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((times, choices))
-            if len(kept) == cap:
-                break
-    return kept
-
-
-class DPReferenceScheduler:
-    """Pure-Python Algorithm 1 with quantisation step δ.
-
-    Same constructor surface and identical output as
-    :class:`~repro.scheduling.dp.DPScheduler`; roughly an order of
-    magnitude slower on realistic buffers. Use the vectorized class in
-    serving code — this one exists for parity tests, benchmarks and as
-    executable documentation of the algorithm.
-
-    Args:
-        delta: Reward quantisation step (paper default 0.01). ``None``
-            derives δ = ε/N per buffer as Theorem 3 prescribes.
-        epsilon: Approximation target used when ``delta`` is None.
-        max_solutions_per_cell: Cap on a cell's Pareto frontier (first
-            entries in canonical order are kept).
+    Same constructor, hooks (``collect_stats``, ``profile``) and output
+    as ``DPScheduler``.
     """
 
     name = "dp-reference"
 
-    def __init__(
-        self,
-        delta: Optional[float] = 0.01,
-        epsilon: float = 0.1,
-        max_solutions_per_cell: int = 8,
-    ):
-        self.delta = None if delta is None else check_positive("delta", delta)
-        self.epsilon = check_positive("epsilon", epsilon)
-        if max_solutions_per_cell < 1:
-            raise ValueError(
-                f"max_solutions_per_cell must be >= 1, got "
-                f"{max_solutions_per_cell}"
-            )
-        self.max_solutions_per_cell = max_solutions_per_cell
-
-    def step_for(self, n_queries: int) -> float:
-        """The quantisation step used for a buffer of ``n_queries``."""
-        if self.delta is not None:
-            return self.delta
-        return self.epsilon / max(n_queries, 1)
-
     def schedule(self, instance: SchedulingInstance) -> ScheduleResult:
-        """Solve the local subproblem; decisions come back in EDF order."""
-        if instance.n_queries == 0:
-            return ScheduleResult(decisions=[], total_utility=0.0, work_units=0)
-
-        step = self.step_for(instance.n_queries)
-        order = edf_order(instance.queries)
-        queries = [instance.queries[i] for i in order]
-        latencies = instance.latencies
-        n_models = instance.n_models
-        n_masks = 1 << n_models
-        member_lists = instance.masks.members
-        start = tuple(float(t) for t in instance.busy_until)
-
-        table: Dict[int, List[_Solution]] = {0: [(start, ())]}
-        work_units = 0
-        for query in queries:
-            relative_deadline = query.deadline - instance.now
-            quantised = query.quantised_utilities(step)
-            new_table: Dict[int, List[_Candidate]] = {}
-            # Entries are ranked by their position in the table
-            # flattened in ascending-cell order — the vectorized path's
-            # flat row index — so the tie-break keys agree bit-exactly.
-            rank = 0
-            for u in sorted(table):
-                for times, choices in table[u]:
-                    # The skip continuation is free; every non-empty
-                    # mask below is one work unit (unified accounting).
-                    work_units += n_masks - 1
-                    new_table.setdefault(u, []).append(
-                        (times, choices + (0,), rank, 0)
-                    )
-                    for mask in range(1, n_masks):
-                        new_times = list(times)
-                        completion = 0.0
-                        for k in member_lists[mask]:
-                            new_times[k] += latencies[k]
-                            if new_times[k] > completion:
-                                completion = new_times[k]
-                        if completion > relative_deadline + _EPS:
-                            continue
-                        du = int(quantised[mask])
-                        new_table.setdefault(u + du, []).append(
-                            (tuple(new_times), choices + (mask,), rank, mask)
-                        )
-                    rank += 1
-            table = {
-                u: _prune(candidates, self.max_solutions_per_cell)
-                for u, candidates in new_table.items()
-            }
-
-        best_u = max(table)
-        best_times, best_choices = None, None
-        best_reward = best_span = 0.0
-        for times, choices in table[best_u]:
-            # Left-to-right sums so ties resolve identically to the
-            # vectorized path's column accumulation.
-            reward = sum(
-                float(q.utilities[mask]) for q, mask in zip(queries, choices)
-            )
-            span = sum(times)
-            if best_choices is None or reward > best_reward or (
-                reward == best_reward and span < best_span
-            ):
-                best_times, best_choices = times, choices
-                best_reward, best_span = reward, span
-        decisions = [
-            ScheduleDecision(query_id=query.query_id, mask=mask)
-            for query, mask in zip(queries, best_choices)
-        ]
-        return ScheduleResult(
-            decisions=decisions,
-            total_utility=best_reward,
-            work_units=work_units,
-        )
+        """Solve the local subproblem in the loop form; decisions come
+        back in EDF order."""
+        return self.schedule_loop(instance)

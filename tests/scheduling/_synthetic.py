@@ -1,8 +1,11 @@
-"""Shared synthetic data for the distillation / fast-path tests.
+"""Shared synthetic data for the scheduling tests.
 
-A fixed 3-model deployment whose utility rows derive deterministically
-from a per-query difficulty score — the property the real pipeline has
-and distillation relies on to reconstruct logged instances exactly.
+``random_instance`` draws the paper-shaped instances of the DP tests:
+one to three models with the text-matching ensemble's latency spread
+and monotone utilities. The rest is a fixed 3-model deployment whose
+utility rows derive deterministically from a per-query difficulty
+score — the property the real pipeline has and distillation relies on
+to reconstruct logged instances exactly.
 Not collected by pytest (no ``test_`` prefix).
 """
 
@@ -14,6 +17,36 @@ from repro.scheduling.problem import QueryRequest, SchedulingInstance
 
 LATENCIES3 = np.array([0.02, 0.05, 0.09])
 QUALITY3 = np.array([0.5, 0.65, 0.8])
+
+
+def monotone_utilities(rng, m):
+    """Random utilities satisfying diminishing marginal utility."""
+    singles = np.sort(rng.uniform(0.3, 0.8, m))
+    u = np.zeros(1 << m)
+    for mask in range(1, 1 << m):
+        members = [k for k in range(m) if mask >> k & 1]
+        u[mask] = min(
+            1.0, max(singles[k] for k in members) + 0.08 * (len(members) - 1)
+        )
+    return u
+
+
+def random_instance(n, m, seed, horizon=(0.1, 0.3)):
+    """``n`` queries on ``m <= 3`` models with monotone utilities."""
+    rng = np.random.default_rng(seed)
+    latencies = np.array([0.02, 0.07, 0.09][:m])
+    queries = []
+    for i in range(n):
+        arrival = float(rng.uniform(0, 0.05))
+        deadline = arrival + float(rng.uniform(*horizon))
+        queries.append(
+            QueryRequest(
+                i, arrival, deadline, monotone_utilities(rng, m),
+                score=float(rng.uniform(0, 1)),
+            )
+        )
+    busy = rng.uniform(0, 0.05, m)
+    return SchedulingInstance(queries, latencies, busy, now=0.0)
 
 
 def synthetic_utilities(scores):

@@ -11,35 +11,7 @@ from repro.scheduling.problem import (
     SchedulingInstance,
     evaluate_schedule,
 )
-
-
-def monotone_utilities(rng, m):
-    """Random utilities satisfying diminishing marginal utility."""
-    singles = np.sort(rng.uniform(0.3, 0.8, m))
-    u = np.zeros(1 << m)
-    for mask in range(1, 1 << m):
-        members = [k for k in range(m) if mask >> k & 1]
-        u[mask] = min(
-            1.0, max(singles[k] for k in members) + 0.08 * (len(members) - 1)
-        )
-    return u
-
-
-def random_instance(n, m, seed, horizon=(0.1, 0.3)):
-    rng = np.random.default_rng(seed)
-    latencies = np.array([0.02, 0.07, 0.09][:m])
-    queries = []
-    for i in range(n):
-        arrival = float(rng.uniform(0, 0.05))
-        deadline = arrival + float(rng.uniform(*horizon))
-        queries.append(
-            QueryRequest(
-                i, arrival, deadline, monotone_utilities(rng, m),
-                score=float(rng.uniform(0, 1)),
-            )
-        )
-    busy = rng.uniform(0, 0.05, m)
-    return SchedulingInstance(queries, latencies, busy, now=0.0)
+from tests.scheduling._synthetic import random_instance
 
 
 class TestDPScheduler:

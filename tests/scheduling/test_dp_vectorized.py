@@ -1,13 +1,21 @@
-"""Vectorized DP kernel: bit-exact parity, approximation bound, and the
-tie-break regressions the rewrite fixed."""
+"""The DP's two forms: bit-exact parity, approximation bound, and the
+tie-break regressions the kernel rewrite fixed.
+
+Parity runs the kernel (``schedule_kernel``) against the loop form
+(``schedule_loop``) directly: through the size dispatch both sides of
+a small instance would run the loop form.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scheduling.bruteforce import BruteForceScheduler
 from repro.scheduling.dp import DPScheduler
 from repro.scheduling.dp_reference import DPReferenceScheduler
 from repro.scheduling.problem import QueryRequest, SchedulingInstance
+from tests.scheduling._synthetic import random_instance
 
 
 def randomized_instance(seed, max_queries=8, max_models=4):
@@ -24,6 +32,15 @@ def randomized_instance(seed, max_queries=8, max_models=4):
     busy = rng.uniform(0.0, 0.1, size=m)
     if seed % 5 == 0 and m > 1:
         busy[int(rng.integers(0, m))] = np.inf
+    return SchedulingInstance(
+        random_queries(rng, n, m), latencies, busy, now=0.0
+    )
+
+
+def random_queries(rng, n, m):
+    """``n`` queries with two-decimal rewards: quantised ties are
+    common, the case the canonical order and final tie-break exist
+    for."""
     queries = []
     for qid in range(n):
         utilities = np.zeros(1 << m)
@@ -34,7 +51,26 @@ def randomized_instance(seed, max_queries=8, max_models=4):
             deadline=float(rng.uniform(0.05, 0.6)),
             utilities=utilities,
         ))
-    return SchedulingInstance(queries, latencies, busy, now=0.0)
+    return queries
+
+
+@st.composite
+def adversarial_instances(draw):
+    """1-12 queries on 1-4 models, with equal latencies (finish-time
+    collisions) and downed models (+inf busy time) drawn as flags."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        latencies = np.full(m, 0.05)
+    else:
+        latencies = rng.uniform(0.01, 0.2, size=m)
+    busy = rng.uniform(0.0, 0.1, size=m)
+    downed = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    busy[downed] = np.inf
+    return SchedulingInstance(
+        random_queries(rng, n, m), latencies, busy, now=0.0
+    )
 
 
 def assert_identical(vec, ref):
@@ -46,14 +82,29 @@ def assert_identical(vec, ref):
     assert vec.work_units == ref.work_units
 
 
+def assert_forms_agree(scheduler, instance):
+    """Kernel, loop form and dispatched ``schedule`` return the same
+    plan, utility, work units and ``ScheduleStats``."""
+    scheduler.collect_stats = True
+    kernel = scheduler.schedule_kernel(instance)
+    kernel_stats = scheduler.last_stats
+    for solve in (scheduler.schedule_loop, scheduler.schedule):
+        assert_identical(solve(instance), kernel)
+        assert scheduler.last_stats == kernel_stats
+    # Mask 0 (skip) is a candidate at every level.
+    assert all(masks[0] == 0 for masks in kernel_stats.candidate_masks)
+
+
 class TestVectorizedParity:
     @pytest.mark.parametrize("delta", [0.01, 0.05, 0.25, None])
     def test_randomized_exact_parity(self, delta):
+        scheduler = DPScheduler(delta=delta)
         for seed in range(25):
             instance = randomized_instance(seed)
-            vec = DPScheduler(delta=delta).schedule(instance)
-            ref = DPReferenceScheduler(delta=delta).schedule(instance)
-            assert_identical(vec, ref)
+            assert_identical(
+                scheduler.schedule_kernel(instance),
+                scheduler.schedule_loop(instance),
+            )
 
     def test_parity_with_downed_model(self):
         """A +inf busy time (all of a model's workers crashed) makes
@@ -63,19 +114,40 @@ class TestVectorizedParity:
         instance = SchedulingInstance(
             queries, np.array([0.05, 0.08]), np.array([np.inf, 0.0]),
         )
-        vec = DPScheduler(delta=0.05).schedule(instance)
-        ref = DPReferenceScheduler(delta=0.05).schedule(instance)
-        assert_identical(vec, ref)
+        scheduler = DPScheduler(delta=0.05)
+        vec = scheduler.schedule_kernel(instance)
+        assert_identical(vec, scheduler.schedule_loop(instance))
         for decision in vec.decisions:
             assert decision.mask & 1 == 0  # model 0 is unusable
 
     def test_parity_under_tiny_frontier_cap(self):
-        """The cap trims in canonical order in both implementations."""
+        """The cap trims in canonical order in both forms."""
+        scheduler = DPScheduler(delta=0.05, max_solutions_per_cell=1)
         for seed in range(8):
             instance = randomized_instance(seed, max_queries=5)
-            vec = DPScheduler(delta=0.05, max_solutions_per_cell=1)
-            ref = DPReferenceScheduler(delta=0.05, max_solutions_per_cell=1)
-            assert_identical(vec.schedule(instance), ref.schedule(instance))
+            assert_identical(
+                scheduler.schedule_kernel(instance),
+                scheduler.schedule_loop(instance),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=adversarial_instances(),
+        delta=st.sampled_from([0.01, 0.05, 0.25, None]),
+        cap=st.sampled_from([1, 8]),
+    )
+    def test_forms_agree_on_adversarial_instances(self, instance, delta, cap):
+        assert_forms_agree(
+            DPScheduler(delta=delta, max_solutions_per_cell=cap), instance
+        )
+
+    @pytest.mark.parametrize("n_queries", range(1, 9))
+    def test_forms_agree_on_paper_shaped_instances(self, n_queries):
+        """The paper's workload: three models, one to eight queries,
+        monotone utilities."""
+        scheduler = DPScheduler(delta=0.01)
+        for seed in range(5):
+            assert_forms_agree(scheduler, random_instance(n_queries, 3, seed))
 
 
 class TestApproximationBound:
