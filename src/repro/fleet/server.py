@@ -29,13 +29,17 @@ run path serves every fleet: it steps in epochs, and with a
 to each epoch boundary and lets the SLO controller act in between. A
 static fleet is the degenerate case, one epoch that admits every
 arrival, so each shard's ``finish`` is exactly ``EnsembleServer.run``
-over its sub-workload. After the shards finish, the fleet merges the
-per-shard span streams into one fleet-wide stream: local query ids are
-mapped back to global ids, worker ids are offset per shard, every span
-gains a ``shard`` attribute, and the whole merged stream is replayed
-through the fleet's tracer — so ``profile``/``slo``/``diff`` work on
-the fleet exactly as on a single server, and per shard via the
-untouched shard results.
+over its sub-workload. The SLO monitor is fed from the outcomes the
+shard sessions hand back each epoch, not from spans, so shards record
+spans only when the fleet is traced. After the shards finish, a traced
+fleet merges the per-shard span streams into one fleet-wide stream:
+local query ids are mapped back to global ids, worker ids are offset
+per shard, every span gains a ``shard`` attribute, and the whole merged
+stream is replayed through the fleet's tracer in global order — so
+``profile``/``slo``/``diff`` work on the fleet exactly as on a single
+server, and per shard via the untouched shard results. A live plane on
+the fleet tracer is thereby the fleet's one snapshot stream; the shards
+keep their own planes, which ``top`` polls mid-run.
 
 Determinism: the routers are seeded, the fluid model is pure
 arithmetic, and each shard is the deterministic single-server
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
+from operator import attrgetter, itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,11 +60,7 @@ from repro.control.controller import Controller, ControlLog
 from repro.fleet.config import FleetConfig
 from repro.fleet.routers import make_router
 from repro.obs import spans as sp
-from repro.obs.live import (
-    LiveTelemetry,
-    TelemetrySnapshot,
-    rollup_snapshots,
-)
+from repro.obs.live import LiveTelemetry, TelemetrySnapshot
 from repro.obs.slo import SLOMonitor
 from repro.obs.spans import Span
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
@@ -92,12 +93,13 @@ class FleetResult:
             for a static fleet, which runs no controller. Its
             ``dumps()`` is the byte-identical determinism contract.
         monitor: The live :class:`~repro.obs.slo.SLOMonitor` the
-            control loop ran against; ``None`` for a static fleet.
+            control loop ran against, fed from the outcomes the shard
+            sessions hand back; ``None`` for a static fleet.
         shard_snapshots: Per-shard live telemetry snapshot streams
             (``None`` unless the fleet tracer carried a
-            :class:`~repro.obs.live.LiveTelemetry`).
-        fleet_snapshots: The shard streams rolled up per boundary via
-            digest merge (same gating).
+            :class:`~repro.obs.live.LiveTelemetry`). The fleet's one
+            snapshot stream is that plane's own ``snapshots``, fed the
+            merged stream in global order.
     """
 
     merged: ServingResult
@@ -110,7 +112,6 @@ class FleetResult:
     control_log: Optional[ControlLog] = None
     monitor: Optional[SLOMonitor] = None
     shard_snapshots: Optional[List[List[TelemetrySnapshot]]] = None
-    fleet_snapshots: Optional[List[TelemetrySnapshot]] = None
 
     @property
     def n_shards(self) -> int:
@@ -141,6 +142,7 @@ class FleetServer:
         tracer: Fleet-level observability hook; when enabled, each
             shard runs under its own :class:`RecordingTracer` and the
             merged, remapped stream is replayed through this tracer.
+            Otherwise the shards run untraced, controlled or not.
         policies: Optional per-shard policy overrides (length must
             equal ``config.n_shards``); each shard may then schedule
             differently while the front end stays shared.
@@ -288,10 +290,10 @@ class FleetServer:
            (under the *current* queue limit) and offer them to the
            shards' streaming :class:`~repro.serving.server.ServingSession`s;
         2. **advance** every session to the epoch boundary;
-        3. **harvest** the outcomes the shards resolved this epoch
-           (completions, rejections, plus the front end's sheds) into
-           the live :class:`~repro.obs.slo.SLOMonitor`, in global
-           ``(time, shard, seq)`` order;
+        3. **harvest** the outcomes the shards' sessions hand back for
+           this epoch (completions, rejections), plus the front end's
+           sheds, into the live :class:`~repro.obs.slo.SLOMonitor`, in
+           global ``(time, shard, seq)`` order;
         4. **tick** the :class:`~repro.control.controller.Controller`
            and apply its actions: replica sets added with ``warmup``
            provisioning latency / retired LIFO, admission tightened or
@@ -353,19 +355,17 @@ class FleetServer:
                 if (cheap_mask >> k) & 1
             ))
 
-        # Shards record when the merge replays their spans (a traced
-        # fleet) or the harvest step reads their COMPLETE/REJECT spans
-        # to feed the monitor mid-run (a controlled one); otherwise
-        # they run untraced. When the fleet tracer carries a live
-        # plane, each shard gets its own (ticked per epoch by
-        # session.advance, so `top` sees genuine mid-run state; the
-        # rollup below merges their snapshot streams boundary by
-        # boundary) and the controller's action log is attached to the
-        # fleet plane for incident bundles.
+        # Shards record only when the merge replays their spans (a
+        # traced fleet); otherwise they run untraced, and the monitor
+        # is fed from the outcomes their sessions hand back. When the
+        # fleet tracer carries a live plane, each shard gets its own
+        # (ticked per epoch by session.advance, so `top` sees genuine
+        # mid-run state) and the controller's action log is attached
+        # to the fleet plane for incident bundles.
         fleet_live = tracer.live if traced else None
         self.shard_lives = []
         shard_tracers: List[RecordingTracer] = []
-        if traced or control is not None:
+        if traced:
             for shard in range(n_shards):
                 shard_live = None
                 if fleet_live is not None:
@@ -387,6 +387,9 @@ class FleetServer:
             for shard in range(n_shards)
         ]
         sessions = [server.session() for server in servers]
+        if monitor is not None:
+            for session in sessions:
+                session.outcomes = []
 
         # Fluid front-end state: per virtual single-queue shard, its
         # next-free time plus the (monotone) finish times of jobs still
@@ -408,30 +411,21 @@ class FleetServer:
         assignments = np.full(n, -1, dtype=int)
         shard_ids: List[List[int]] = [[] for _ in range(n_shards)]
         front_spans: List[Span] = []
-        consumed = [0] * n_shards
         n_shed = 0
         eff_limit = cfg.queue_limit
         degraded = False
 
-        def harvest(outcomes: List[Tuple]) -> None:
+        def harvest(outcomes: List[Tuple[float, bool, bool]]) -> None:
             """Feed the monitor ``outcomes`` (the front end's sheds) plus
-            the outcomes the shards resolved since the last call, in
-            global ``(time, shard, seq)`` order."""
-            for shard in range(n_shards):
-                spans = shard_tracers[shard].spans
-                for i in range(consumed[shard], len(spans)):
-                    span = spans[i]
-                    if span.kind == sp.COMPLETE:
-                        outcomes.append((
-                            span.time, shard, i,
-                            float(span.attrs.get("slack", 0.0)) < 0.0,
-                            bool(span.attrs.get("degraded", False)),
-                        ))
-                    elif span.kind == sp.REJECT:
-                        outcomes.append((span.time, shard, i, True, False))
-                consumed[shard] = len(spans)
-            outcomes.sort(key=lambda o: o[:3])
-            for t_o, _, _, missed, was_degraded in outcomes:
+            the outcomes the shards' sessions resolved since the last
+            call, in global ``(time, shard, seq)`` order: every stream
+            is in resolution order, so a stable sort on time over the
+            front end and then shards 0..n-1 is exactly that order."""
+            for session in sessions:
+                outcomes += session.outcomes
+                session.outcomes.clear()
+            outcomes.sort(key=itemgetter(0))
+            for t_o, missed, was_degraded in outcomes:
                 monitor.observe(t_o, missed=missed, degraded=was_degraded)
 
         qi = 0
@@ -443,7 +437,7 @@ class FleetServer:
             else:
                 t_end = epoch * interval + interval
                 activate(epoch * interval)
-            outcomes: List[Tuple] = []
+            outcomes: List[Tuple[float, bool, bool]] = []
 
             # -- 1. admit this epoch's arrivals through the front end --
             while qi < n and float(workload.arrivals[qi]) < t_end:
@@ -483,7 +477,7 @@ class FleetServer:
                             front_spans.append(Span(sp.REJECT, now, qid, {
                                 "reason": "shed",
                             }))
-                        outcomes.append((now, -1, qid, True, False))
+                        outcomes.append((now, True, False))
                         continue
                 assignments[qid] = chosen
                 if traced:
@@ -592,6 +586,7 @@ class FleetServer:
             harvest([])
         end = max(
             [t.end_time for t in shard_tracers]
+            + [session.now for session in sessions]
             + [span.time for span in ctrl_tracer.spans[-1:]]
             + [float(t) for t in workload.arrivals[-1:]],
             default=0.0,
@@ -611,8 +606,11 @@ class FleetServer:
                 offsets.append(total)
                 total += server.n_workers
             shard_spans = []
-            streams = [[(span.time, -1, i, span)
-                        for i, span in enumerate(front_spans)]]
+            # Global order is (time, stream, index) over the streams
+            # front end, shards 0..n-1, control (which sorts after
+            # every shard at the same instant): a stable sort on time
+            # over their concatenation is exactly that order.
+            merged_stream = list(front_spans)
             for shard, shard_tracer in enumerate(shard_tracers):
                 ids = shard_query_ids[shard]
                 offset = offsets[shard]
@@ -628,31 +626,18 @@ class FleetServer:
                     )
                     remapped.append(Span(span.kind, span.time, gid, attrs))
                 shard_spans.append(remapped)
-                streams.append([
-                    (span.time, shard, i, span)
-                    for i, span in enumerate(remapped)
-                ])
-            # The control-plane stream (breach/recovery + decisions)
-            # sorts after every shard at the same instant.
-            streams.append([
-                (span.time, n_shards, i, span)
-                for i, span in enumerate(ctrl_tracer.spans)
-            ])
-            merged_stream = sorted(
-                (entry for stream in streams for entry in stream),
-                key=lambda entry: entry[:3],
-            )
-            for _, _, _, span in merged_stream:
+                merged_stream += remapped
+            merged_stream += ctrl_tracer.spans
+            merged_stream.sort(key=attrgetter("time"))
+            for span in merged_stream:
                 tracer.emit(span.kind, span.time, span.query_id, **span.attrs)
             tracer.finalize(end)
 
         shard_snapshots: Optional[List[List[TelemetrySnapshot]]] = None
-        fleet_snapshots: Optional[List[TelemetrySnapshot]] = None
         if self.shard_lives:
             shard_snapshots = [
                 list(live.snapshots) for live in self.shard_lives
             ]
-            fleet_snapshots = rollup_snapshots(shard_snapshots)
 
         merged = self._merge_results(
             workload, assignments, shard_results, shard_query_ids
@@ -668,7 +653,6 @@ class FleetServer:
             control_log=controller.log if controller is not None else None,
             monitor=monitor,
             shard_snapshots=shard_snapshots,
-            fleet_snapshots=fleet_snapshots,
         )
 
     def _merge_results(

@@ -106,32 +106,28 @@ class QuantileDigest:
         )
         self._merge_sorted()
 
-    def _q_limit(self, q_left: float, total: float) -> float:
-        """Max cumulative quantile one centroid starting at ``q_left``
-        may cover, from the k2 (log-odds) scale function
-
-            k(q) = (δ/Z) · ln(q / (1 − q)),   Z = 4·ln(n/δ) + 21
-
-        whose resolution grows like ``1/q(1−q)`` at the extremes —
-        tail centroids stay a handful of points wide, which is what
-        keeps p99 within 1% (k1's ``1/√q(1−q)`` lets ~n/δ points pool
-        into a single p99 centroid)."""
-        z = 4.0 * math.log(max(total / self.compression, 1.0)) + 21.0
-        if q_left <= 0.0:
-            return 0.0  # extreme centroids stay singletons
-        if q_left >= 1.0:
-            return 1.0
-        odds = q_left / (1.0 - q_left) * math.exp(z / self.compression)
-        return odds / (1.0 + odds)
-
     def _merge_sorted(self) -> None:
         """One merge pass: sort centroids, then greedily coalesce
         neighbours while the scale budget allows (k-span ≤ 1).
+
+        The budget is the k2 (log-odds) scale function
+
+            k(q) = (δ/Z) · ln(q / (1 − q)),   Z = 4·ln(n/δ) + 21
+
+        whose resolution grows like ``1/q(1−q)`` at the extremes — tail
+        centroids stay a handful of points wide, which is what keeps
+        p99 within 1% (k1's ``1/√q(1−q)`` lets ~n/δ points pool into a
+        single p99 centroid). A centroid opening at quantile ``q`` may
+        cover up to the ``q'`` whose odds are ``q/(1−q) · exp(Z/δ)``;
+        the factor is fixed for the pass.
 
         Alternate passes sweep right-to-left (mirrored quantiles) so the
         greedy coalescing bias does not accumulate on one side — without
         this, repeated merges let mid-distribution centroids drift and
         p50 error grows with stream length.
+
+        The sweep runs over Python lists with the open centroid in
+        locals: numpy scalar reads cost more than the arithmetic.
         """
         order = np.argsort(self._means, kind="stable")
         means = self._means[order]
@@ -141,30 +137,42 @@ class QuantileDigest:
             weights = weights[::-1]
         self._reverse = not self._reverse
         total = float(weights.sum())
+        z = 4.0 * math.log(max(total / self.compression, 1.0)) + 21.0
+        scale = math.exp(z / self.compression)
 
-        out_means: List[float] = [float(means[0])]
-        out_weights: List[float] = [float(weights[0])]
+        out_means: List[float] = []
+        out_weights: List[float] = []
+        pairs = zip(means.tolist(), weights.tolist())
+        mean, weight = next(pairs)  # the open centroid
         seen = 0.0  # weight fully to the sweep side of the centroid
-        limit = self._q_limit(0.0, total)
-        for i in range(1, means.shape[0]):
-            candidate = out_weights[-1] + float(weights[i])
+        limit = 0.0  # extreme centroids stay singletons
+        for value, value_weight in pairs:
+            candidate = weight + value_weight
             if (seen + candidate) / total <= limit:
                 # Coalesce: weighted mean keeps the centroid unbiased.
-                out_means[-1] += (
-                    (float(means[i]) - out_means[-1])
-                    * float(weights[i]) / candidate
-                )
-                out_weights[-1] = candidate
+                mean += (value - mean) * value_weight / candidate
+                weight = candidate
             else:
-                seen += out_weights[-1]
-                limit = self._q_limit(seen / total, total)
-                out_means.append(float(means[i]))
-                out_weights.append(float(weights[i]))
+                out_means.append(mean)
+                out_weights.append(weight)
+                seen += weight
+                q_left = seen / total
+                if q_left <= 0.0:
+                    limit = 0.0
+                elif q_left >= 1.0:
+                    limit = 1.0
+                else:
+                    odds = q_left / (1.0 - q_left) * scale
+                    limit = odds / (1.0 + odds)
+                mean = value
+                weight = value_weight
+        out_means.append(mean)
+        out_weights.append(weight)
+        if len(out_means) > 1 and out_means[0] > out_means[-1]:
+            out_means.reverse()
+            out_weights.reverse()
         self._means = np.asarray(out_means)
         self._weights = np.asarray(out_weights)
-        if self._means.shape[0] > 1 and self._means[0] > self._means[-1]:
-            self._means = self._means[::-1].copy()
-            self._weights = self._weights[::-1].copy()
 
     # -- queries -------------------------------------------------------
 
@@ -228,8 +236,8 @@ class QuantileDigest:
             "total": self.total,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            "means": [float(v) for v in self._means],
-            "weights": [float(v) for v in self._weights],
+            "means": self._means.tolist(),
+            "weights": self._weights.tolist(),
         }
 
     @classmethod

@@ -50,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,6 +331,15 @@ class ServingSession:
     the worker pool (baseline plus replica sets added mid-run) and the
     fault injector.
 
+    Outcomes: a caller that steers on what the session resolves (the
+    fleet's SLO monitor) sets :attr:`outcomes` to a list before
+    offering. Every query then appends ``(time, missed, degraded)``
+    the moment it resolves — completed (``missed`` when its slack is
+    negative), or rejected (missed, not degraded) — in the order the
+    ``complete``/``reject`` spans would be emitted, traced or not; the
+    caller drains the list. Left ``None`` (a batch run, a static
+    fleet), the session keeps none.
+
     Usage contract: offers carry absolute arrival times and must not
     lie in the session's past (before the last processed event);
     ``advance(t)`` processes every event at or before ``t``; every
@@ -430,6 +439,7 @@ class ServingSession:
         self._n_offered = 0
         self._now = 0.0
         self._finished = False
+        self.outcomes: Optional[List[Tuple[float, bool, bool]]] = None
 
     # -- streaming interface -------------------------------------------
 
@@ -579,6 +589,8 @@ class ServingSession:
             records[qid].rejected = True
             if self._trace:
                 tracer.emit(sp.REJECT, now, qid, reason="unserved")
+            if self.outcomes is not None:
+                self.outcomes.append((now, True, False))
         tracer.finalize(now)
         if self._explain_sched is not None:
             self._explain_sched.collect_stats = False
@@ -825,6 +837,7 @@ class ServingSession:
         """All of a query's tasks resolved (success or permanent
         failure): complete, degrade, or drop."""
         trace = self._trace
+        outcomes = self.outcomes
         if record.failed_mask:
             if not (self._config.degraded_answers and record.executed_mask):
                 record.rejected = True
@@ -832,6 +845,8 @@ class ServingSession:
                     self._tracer.emit(
                         sp.REJECT, now, record.query_id, reason="faulted",
                     )
+                if outcomes is not None:
+                    outcomes.append((now, True, False))
                 return
             # Answer from the executed subset: stacking's KNN filler
             # reconstructs the missing coordinates, so the partial
@@ -846,6 +861,10 @@ class ServingSession:
         record.completion = now
         if self._explain is not None:
             self._explain.realize(record.query_id, now, record.deadline - now)
+        if outcomes is not None:
+            outcomes.append(
+                (now, record.deadline - now < 0.0, record.degraded)
+            )
         if trace:
             if record.degraded:
                 # A partial answer, or a plan narrowed by the cheap mask.
@@ -1080,6 +1099,8 @@ class ServingSession:
                         sp.REJECT, now, decision.query_id,
                         reason="infeasible",
                     )
+                if self.outcomes is not None:
+                    self.outcomes.append((now, True, False))
                 continue
             if not self._any_idle(now):
                 self._buffer.append(decision.query_id)
@@ -1117,6 +1138,8 @@ class ServingSession:
                     self._tracer.emit(
                         sp.REJECT, now, qid, reason="estimate",
                     )
+                if self.outcomes is not None:
+                    self.outcomes.append((now, True, False))
                 return
         if explain is not None:
             explain.add(self._explain_record(

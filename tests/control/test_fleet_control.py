@@ -261,7 +261,7 @@ class TestQuietWorkloadEquivalence:
 CRASH_WINDOWS = ((10.73, 12.5), (20.61, 21.8))
 
 
-def run_faulty_fleet(workload):
+def run_faulty_fleet(workload, traced=True):
     """The burst through shards that carry task failures, jitter past
     a watchdog, and crash windows on the fastest model's worker that
     overlap the controller's scale-ups at t=11 and t=21."""
@@ -275,7 +275,7 @@ def run_faulty_fleet(workload):
     shard = ServerConfig(
         faults=plan, task_timeout=0.02, max_retries=1, retry_backoff=0.001,
     )
-    tracer = RecordingTracer()
+    tracer = RecordingTracer() if traced else None
     result = FleetServer.from_config(
         LATENCIES, policy,
         FleetConfig.uniform(
@@ -328,6 +328,12 @@ class TestFaultyShards:
         rerun, _ = run_faulty_fleet(workload)
         assert rerun.control_log.dumps() == result.control_log.dumps()
         assert rerun.merged.records == result.merged.records
+        # Untraced, the shards record no spans: the monitor reads the
+        # outcomes their sessions hand back, and steers the same way.
+        untraced, _ = run_faulty_fleet(workload, traced=False)
+        assert all(r.metrics is None for r in untraced.shard_results)
+        assert untraced.control_log.dumps() == result.control_log.dumps()
+        assert untraced.merged.records == result.merged.records
 
 
 class TestGuards:

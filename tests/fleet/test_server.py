@@ -1,10 +1,14 @@
 """FleetServer: shard isolation, merging, determinism, observability."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from repro.control import ControlConfig
 from repro.fleet import FleetConfig, FleetServer
 from repro.obs import spans as sp
+from repro.obs.slo import SLOConfig
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
 from repro.serving.config import ServerConfig
@@ -207,6 +211,114 @@ class TestObservability:
         result, _, _ = run_fleet("hash")
         assert result.shard_spans is None
         assert result.merged.metrics is None
+
+
+# Kinds only the control side stream emits: monitor edges and decisions.
+CONTROL_STREAM = (
+    sp.SLO_BREACH, sp.SLO_RECOVERED, sp.SCALE_UP, sp.SCALE_DOWN,
+    sp.DEGRADE_MODE, sp.RESTORE, sp.ADMISSION_CHANGE,
+)
+
+# Epochs of 0.25 s land on the arrivals' 10 ms grid, so decisions tie
+# with shard spans at epoch boundaries.
+TIE_CONTROL = ControlConfig(
+    interval=0.25, warmup=0.25, max_extra_replicas=2, scale_up_burn=2.0,
+    scale_down_burn=0.5, cooldown=0.5,
+    slo=SLOConfig(
+        windows=(1.0, 2.0), alert_window=1.0,
+        breach_burn=2.0, recover_burn=1.0, min_events=20,
+    ),
+)
+
+
+def stream_of(span, n_shards):
+    """The merged stream a fleet span came from: -1 for the front end
+    (a route, or a shed and its reject, which carry no shard tag), the
+    shard's index, or ``n_shards`` for the control side stream."""
+    if span.kind in CONTROL_STREAM:
+        return n_shards
+    if span.kind == sp.ROUTE or "shard" not in span.attrs:
+        return -1
+    return span.attrs["shard"]
+
+
+class TestMergeOrder:
+    """The merged stream is ordered on (time, stream) — front end, then
+    shards 0..n-1, then control — and keeps each stream's own order, so
+    same-instant spans from different streams never swap."""
+
+    @pytest.mark.parametrize(
+        "control", [None, TIE_CONTROL], ids=["static", "controlled"]
+    )
+    def test_ties_keep_stream_order(self, control):
+        policy, quality = make_policy()
+        rng = np.random.default_rng(1)
+        n, n_shards = 1500, 3
+        rate = np.where(
+            (np.arange(n) >= 300) & (np.arange(n) < 1300), 900.0, 100.0
+        )
+        workload = ServingWorkload(
+            # A burst on a 10 ms grid: many arrivals share an instant.
+            arrivals=np.round(np.cumsum(rng.exponential(1.0 / rate)), 2),
+            deadlines=np.full(n, 0.06),
+            sample_indices=rng.integers(quality.shape[0], size=n),
+            quality=quality,
+        )
+        tracer = RecordingTracer()
+        result = FleetServer.from_config(
+            LATENCIES, policy,
+            FleetConfig.uniform(
+                n_shards, ServerConfig(), router="hash", queue_limit=6,
+                seed=0, control=control,
+            ),
+            tracer=tracer,
+        ).run(workload)
+        spans = tracer.spans
+        keys = [(s.time, stream_of(s, n_shards)) for s in spans]
+        assert keys == sorted(keys)
+        streams_at = defaultdict(set)
+        for t, stream in keys:
+            streams_at[t].add(stream)
+        assert any(
+            len(streams - {-1, n_shards}) >= 2
+            for streams in streams_at.values()
+        )
+
+        def plain(stream):
+            return [(s.kind, s.time, s.query_id, s.attrs) for s in stream]
+
+        for shard in range(n_shards):
+            assert plain(
+                s for s in spans if stream_of(s, n_shards) == shard
+            ) == plain(result.shard_spans[shard])
+        front = []
+        for qid, shard in enumerate(result.assignments):
+            t = float(workload.arrivals[qid])
+            front += (
+                [(sp.SHED, t, qid), (sp.REJECT, t, qid)] if shard < 0
+                else [(sp.ROUTE, t, qid)]
+            )
+        assert [
+            (s.kind, s.time, s.query_id) for s in spans
+            if stream_of(s, n_shards) == -1
+        ] == front
+        decisions = [
+            (s.kind, s.time) for s in spans
+            if stream_of(s, n_shards) == n_shards
+            and s.kind not in (sp.SLO_BREACH, sp.SLO_RECOVERED)
+        ]
+        if control is None:
+            assert not any(s.kind in CONTROL_STREAM for s in spans)
+        else:
+            assert decisions  # the controller acted
+            assert decisions == [
+                (a.kind, a.time) for a in result.control_log
+            ]
+            # A control span shares an epoch boundary with shard spans.
+            assert any(
+                n_shards in streams and len(streams - {-1, n_shards})
+                for streams in streams_at.values()
+            )
 
 
 class TestAgainstSingleServer:

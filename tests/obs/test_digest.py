@@ -7,9 +7,12 @@ fewer values than exact computation would.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.traces import diurnal_trace
 from repro.obs.digest import QuantileDigest
@@ -153,6 +156,125 @@ class TestSerialization:
         clone = QuantileDigest.from_dict(QuantileDigest().to_dict())
         assert clone.count == 0
         assert np.isnan(clone.quantile(0.5))
+
+
+def reference_merge_sorted(self):
+    """The merge pass in its numpy-scalar form: every mean and weight
+    read as a numpy scalar, the k2 limit recomputed from scratch for
+    each new centroid. The oracle the list-speed pass must match bit
+    for bit."""
+
+    def q_limit(q_left, total):
+        z = 4.0 * math.log(max(total / self.compression, 1.0)) + 21.0
+        if q_left <= 0.0:
+            return 0.0
+        if q_left >= 1.0:
+            return 1.0
+        odds = q_left / (1.0 - q_left) * math.exp(z / self.compression)
+        return odds / (1.0 + odds)
+
+    order = np.argsort(self._means, kind="stable")
+    means = self._means[order]
+    weights = self._weights[order]
+    if self._reverse:
+        means = means[::-1]
+        weights = weights[::-1]
+    self._reverse = not self._reverse
+    total = float(weights.sum())
+
+    out_means = [float(means[0])]
+    out_weights = [float(weights[0])]
+    seen = 0.0
+    limit = q_limit(0.0, total)
+    for i in range(1, means.shape[0]):
+        candidate = out_weights[-1] + float(weights[i])
+        if (seen + candidate) / total <= limit:
+            out_means[-1] += (
+                (float(means[i]) - out_means[-1])
+                * float(weights[i]) / candidate
+            )
+            out_weights[-1] = candidate
+        else:
+            seen += out_weights[-1]
+            limit = q_limit(seen / total, total)
+            out_means.append(float(means[i]))
+            out_weights.append(float(weights[i]))
+    self._means = np.asarray(out_means)
+    self._weights = np.asarray(out_weights)
+    if self._means.shape[0] > 1 and self._means[0] > self._means[-1]:
+        self._means = self._means[::-1].copy()
+        self._weights = self._weights[::-1].copy()
+
+
+class ReferenceDigest(QuantileDigest):
+    _merge_sorted = reference_merge_sorted
+
+
+@st.composite
+def digest_streams(draw):
+    """1–5,000 values with ties, constant runs and negatives."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(
+        draw(st.sampled_from([0.0, -3.0])),
+        draw(st.sampled_from([1e-3, 1.0, 1e3])),
+        n,
+    )
+    decimals = draw(st.sampled_from([None, 0, 2]))
+    if decimals is not None:  # coarse rounding: many exact ties
+        values = np.round(values, decimals)
+    start = draw(st.integers(0, n - 1))
+    run = draw(st.integers(0, n - start))
+    values[start:start + run] = values[start]  # one constant run
+    edge = draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False), max_size=20
+    ))
+    return values.tolist() + edge
+
+
+class TestListSpeedPass:
+    """The list-speed merge pass reproduces the numpy-scalar pass bit
+    for bit: same operations in the same order, over Python floats."""
+
+    @staticmethod
+    def play(cls, values, compression, flushes, more):
+        digest = cls(compression=compression)
+        other = cls(compression=compression)
+        for i, value in enumerate(values):
+            digest.add(value)
+            if i in flushes:
+                digest.quantile(0.5)  # forces a pass mid-stream
+            if i % 3 == 0:
+                other.add(-2.0 * value)
+        digest.merge(other)
+        digest = cls.from_dict(digest.to_dict())
+        for value in more:
+            digest.add(value)
+        return digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=digest_streams(),
+        compression=st.sampled_from([8, 64, 128, 256]),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        n_more=st.integers(0, 600),
+    )
+    def test_bit_identical_to_numpy_scalar_pass(
+        self, values, compression, cuts, n_more
+    ):
+        flushes = {int(c * (len(values) - 1)) for c in cuts}
+        more = values[:n_more][::-1]
+        fast = self.play(QuantileDigest, values, compression, flushes, more)
+        ref = self.play(ReferenceDigest, values, compression, flushes, more)
+        for digest in (fast, ref):
+            digest.quantile(0.5)  # drain the buffer through a pass
+        assert fast._means.tobytes() == ref._means.tobytes()
+        assert fast._weights.tobytes() == ref._weights.tobytes()
+        assert (fast.count, fast.total, fast.min, fast.max) == (
+            ref.count, ref.total, ref.min, ref.max
+        )
+        for q in (0.5, 0.95, 0.99):
+            assert fast.quantile(q) == ref.quantile(q)
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,16 @@ interleaved at epoch boundaries) is event-for-event identical to the
 batch path when nothing actuates in between.
 """
 
+import heapq as real_heapq
+
 import numpy as np
 import pytest
 
 from repro.faults import DowntimeWindow, FaultPlan
+from repro.obs import spans as sp
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
+from repro.serving import server as server_module
 from repro.serving.config import ServerConfig
 from repro.serving.policies import BufferedSchedulingPolicy, ImmediateMaskPolicy
 from repro.serving.server import EnsembleServer
@@ -55,6 +59,26 @@ def record_tuple(r):
     )
 
 
+def stream_in_epochs(session, workload, epoch=0.5, after_advance=None):
+    """Offer ``workload`` to ``session`` epoch by epoch, advancing to
+    each boundary (then calling ``after_advance``), and finish."""
+    qi, n = 0, workload.n_queries
+    t = epoch
+    while qi < n or session.pending:
+        while qi < n and float(workload.arrivals[qi]) < t:
+            session.offer(
+                float(workload.arrivals[qi]),
+                float(workload.deadlines[qi]),
+                int(workload.sample_indices[qi]),
+            )
+            qi += 1
+        session.advance(t)
+        if after_advance is not None:
+            after_advance()
+        t += epoch
+    return session.finish()
+
+
 # Jitter, transient failures, a crash window and retry backoff: the
 # control loop streams shards configured like this.
 FAULTY = ServerConfig(
@@ -84,23 +108,7 @@ class TestStreamingEquivalence:
         server_b = EnsembleServer(
             LATENCIES, policy, config=config, tracer=tracer_b
         )
-        session = server_b.session()
-        qi, n = 0, workload.n_queries
-        epoch = 0.5
-        t = epoch
-        while qi < n or session.pending:
-            while (
-                qi < n and float(workload.arrivals[qi]) < t
-            ):
-                session.offer(
-                    float(workload.arrivals[qi]),
-                    float(workload.deadlines[qi]),
-                    int(workload.sample_indices[qi]),
-                )
-                qi += 1
-            session.advance(t)
-            t += epoch
-        streamed = session.finish()
+        streamed = stream_in_epochs(server_b.session(), workload)
 
         assert [record_tuple(r) for r in batch.records] == [
             record_tuple(r) for r in streamed.records
@@ -244,3 +252,97 @@ class TestCheapMask:
             server.set_cheap_mask(0)
         with pytest.raises(ValueError):
             server.set_cheap_mask(0b100)
+
+
+def stream_outcomes(server, workload):
+    """Stream ``workload`` through a fresh session in epochs, taking its
+    outcomes after every advance and after ``finish``."""
+    session = server.session()
+    session.outcomes = []
+    taken = []
+
+    def take():
+        taken.extend(session.outcomes)
+        session.outcomes.clear()
+
+    stream_in_epochs(session, workload, after_advance=take)
+    take()
+    return taken
+
+
+def span_outcomes(spans):
+    """The outcome each terminal span stands for, in emission order."""
+    out = []
+    for span in spans:
+        if span.kind == sp.COMPLETE:
+            out.append((
+                span.time,
+                span.attrs["slack"] < 0.0,
+                bool(span.attrs.get("degraded", False)),
+            ))
+        elif span.kind == sp.REJECT:
+            out.append((span.time, True, False))
+    return out
+
+
+def reject_reasons(spans):
+    return {s.attrs["reason"] for s in spans if s.kind == sp.REJECT}
+
+
+# Every other task fails and nothing retries: a query on several models
+# mostly ends degraded, and one whose every task failed is rejected.
+LOSSY = ServerConfig(
+    faults=FaultPlan(seed=4, task_failure_rate=0.5), max_retries=0,
+)
+
+
+class TestSessionOutcomes:
+    """The outcomes a session hands back are its terminal spans."""
+
+    @pytest.mark.parametrize("buffered, config, reasons", [
+        (True, ServerConfig(), {"infeasible"}),
+        (False, ServerConfig(), {"estimate"}),
+        (False, LOSSY, {"faulted"}),
+    ], ids=["infeasible", "estimate", "faulted"])
+    def test_outcomes_equal_terminal_spans(self, buffered, config, reasons):
+        workload = make_workload(n=400, rate=60.0, deadline=0.15)
+        tracer = RecordingTracer()
+        server = EnsembleServer(
+            LATENCIES, make_policy(buffered=buffered),
+            config=config, tracer=tracer,
+        )
+        outcomes = stream_outcomes(server, workload)
+        assert reasons <= reject_reasons(tracer.spans)
+        assert outcomes == span_outcomes(tracer.spans)
+        assert len(outcomes) == workload.n_queries
+        if config is LOSSY:
+            assert any(degraded for _, _, degraded in outcomes)
+        assert any(missed for _, missed, _ in outcomes)
+        assert not all(missed for _, missed, _ in outcomes)
+
+    def test_leftovers_rejected_at_finish(self, monkeypatch):
+        # Dropping every _SCHEDULE push leaves buffered queries unplanned
+        # until finish rejects them (normally unreachable).
+        class DroppingHeapq:
+            @staticmethod
+            def heappush(heap, item):
+                if item[2] != server_module._SCHEDULE:
+                    real_heapq.heappush(heap, item)
+
+            heappop = staticmethod(real_heapq.heappop)
+
+        monkeypatch.setattr(server_module, "heapq", DroppingHeapq)
+        policy = make_policy()
+        policy.fast_path = False  # no task ever runs to plan the buffer
+        workload = make_workload(n=40)
+        tracer = RecordingTracer()
+        server = EnsembleServer(LATENCIES, policy, tracer=tracer)
+        outcomes = stream_outcomes(server, workload)
+        assert reject_reasons(tracer.spans) == {"unserved"}
+        assert len(outcomes) == workload.n_queries
+        assert outcomes == span_outcomes(tracer.spans)
+
+    def test_batch_run_keeps_no_outcomes(self):
+        server = EnsembleServer(LATENCIES, make_policy())
+        server.run(make_workload(n=60))
+        assert server._session.outcomes is None
