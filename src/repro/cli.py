@@ -14,8 +14,7 @@ Usage::
     python -m repro slo --spans traces/..._spans.jsonl [--slo-target 0.05]
     python -m repro profile --task text_matching [--spans traces/..._spans.jsonl]
     python -m repro diff traces/base_profile.json traces/new_profile.json
-    python -m repro fleet --task text_matching [--shards 4] [--router score_aware]
-    python -m repro control --task text_matching [--shards 4] [--interval 1.0]
+    python -m repro fleet --task text_matching [--shards 4] [--control]
     python -m repro distill --task text_matching [--decisions traces/..._decisions.jsonl]
     python -m repro top --mode control [--once] [--serve-metrics PORT]
     python -m repro incident traces/..._incident_00.json
@@ -55,16 +54,15 @@ instead of plumbing individual ``allow_rejection``/``max_buffer`` knobs.
 
 ``fleet`` serves one day trace on a multi-replica fleet
 (:mod:`repro.fleet`): a comparison table of every routing policy
-against an equal-capacity single server, and (with ``--out``) a traced
-run whose merged and per-shard span streams feed ``profile``/``slo``
-offline.
-
-``control`` closes the loop (:mod:`repro.control`): the same day trace
-served by a static fleet and by an identically-provisioned fleet under
-the SLO-driven controller (replica scaling, admission tightening,
-degraded-quality mode), side by side, plus the controller's action
-counts. With ``--out`` it writes the controlled run's merged span
-stream, metrics scrape and the byte-stable controller action log.
+against an equal-capacity single server. ``--control`` closes the loop
+(:mod:`repro.control`): the ``--router`` fleet is served once more
+under the SLO-driven controller (replica scaling, admission
+tightening, degraded-quality mode), which adds a ``controlled`` row
+and the controller's action counts. The ``--router`` fleet — the
+controlled one with ``--control`` — is the observed run: with
+``--out`` it is traced and its merged and per-shard span streams,
+metrics scrape and (with ``--control``) the byte-stable controller
+action log are written for ``profile``/``slo`` offline.
 
 ``distill`` trains the learned fast-path scheduler
 (:mod:`repro.scheduling.policy_fast`): it replays a DP-scheduled run
@@ -72,13 +70,13 @@ stream, metrics scrape and the byte-stable controller action log.
 feature rows from the decision log
 (:mod:`repro.scheduling.distill`), fits the imitation policy and the
 regret estimator, and writes a frozen ``PolicyModel`` JSON artifact.
-``trace``/``fleet``/``control`` then accept ``--scheduler learned
+``trace``/``fleet`` then accept ``--scheduler learned
 --policy-model ARTIFACT [--regret-threshold T]`` to serve with the
 distilled policy, falling back to the exact DP on instances whose
 predicted regret exceeds the threshold (``--regret-threshold 0``
 reproduces the DP run bit-exactly).
 
-``trace`` and ``control`` take ``--live`` to attach the live telemetry
+``trace`` and ``fleet`` take ``--live`` to attach the live telemetry
 plane (:mod:`repro.obs.live`): streaming snapshots at ``--cadence``
 simulated seconds, the always-on flight recorder, and breach-triggered
 incident bundles, all written next to the other artifacts.
@@ -110,8 +108,8 @@ from repro.metrics.tables import format_table
 
 COMMANDS = (
     "list", "table1", "sweep", "day", "schedulers", "budget", "trace",
-    "faults", "explain", "slo", "profile", "diff", "fleet", "control",
-    "distill", "top", "incident",
+    "faults", "explain", "slo", "profile", "diff", "fleet", "distill",
+    "top", "incident",
 )
 
 TRACE_POLICIES = (
@@ -161,7 +159,7 @@ def _add_fault_args(parser: argparse.ArgumentParser):
 
 
 def _add_scheduler_args(parser: argparse.ArgumentParser):
-    """Scheduler-override knobs shared by ``trace``/``fleet``/``control``."""
+    """Scheduler-override knobs shared by ``trace`` and ``fleet``."""
     parser.add_argument(
         "--scheduler", choices=("dp", "learned"), default=None,
         help="override the buffered policy's scheduler: 'dp' forces a "
@@ -182,7 +180,7 @@ def _add_scheduler_args(parser: argparse.ArgumentParser):
 
 
 def _add_live_args(parser: argparse.ArgumentParser, opt_in: bool = True):
-    """Live telemetry knobs shared by ``trace``/``control``/``top``."""
+    """Live telemetry knobs shared by ``trace``/``fleet``/``top``."""
     if opt_in:
         parser.add_argument(
             "--live", action="store_true",
@@ -366,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="multi-replica fleet serving: compare routing policies "
-        "against one equal-capacity single server on a day trace",
+        help="multi-replica fleet serving: compare every routing policy "
+        "against one equal-capacity single server on a day trace; "
+        "--control adds the SLO-driven control loop (replica scaling, "
+        "admission tightening, degradation)",
     )
     _add_common(fleet)
     fleet.add_argument(
@@ -380,71 +380,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--router", choices=("hash", "power_of_two", "score_aware"),
-        default="score_aware",
-        help="router for the traced run written to --out "
-        "(the comparison table always covers all three; "
-        "default: score_aware)",
-    )
-    fleet.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="admission capacity per shard, in queries (default: 64)",
-    )
-    _add_scheduler_args(fleet)
-    fleet.add_argument(
-        "--out", default=None,
-        help="when set, also run the --router fleet traced and write "
-        "the merged and per-shard span streams (JSONL) plus a "
-        "Prometheus metrics scrape to this directory — inputs for "
-        "`python -m repro profile|slo --spans ...`",
-    )
-
-    control = sub.add_parser(
-        "control",
-        help="SLO-driven control loop: static fleet vs controlled "
-        "fleet (replica scaling, admission tightening, degradation) "
-        "on a day trace",
-    )
-    _add_common(control)
-    control.add_argument(
-        "--policy", choices=TRACE_POLICIES, default="schemble",
-        help="serving policy every shard runs (default: schemble)",
-    )
-    control.add_argument(
-        "--shards", type=int, default=4,
-        help="number of server shards (default: 4)",
-    )
-    control.add_argument(
-        "--router", choices=("hash", "power_of_two", "score_aware"),
         default="power_of_two",
-        help="front-end router both fleets use (default: power_of_two)",
+        help="router of the observed fleet — the one --control closes "
+        "the loop on and --out/--live trace (the comparison table "
+        "always covers all three; default: power_of_two)",
     )
-    control.add_argument(
+    fleet.add_argument(
         "--queue-limit", type=int, default=64,
         help="admission capacity per shard, in queries (default: 64)",
     )
-    control.add_argument(
+    fleet.add_argument(
+        "--control", action="store_true",
+        help="also serve the --router fleet under the SLO-driven "
+        "controller: adds a 'controlled' row, its action counts and "
+        "overload episodes",
+    )
+    fleet.add_argument(
         "--interval", type=float, default=1.0,
         help="controller decision period in simulated seconds "
-        "(default: 1.0)",
+        "(with --control; default: 1.0)",
     )
-    control.add_argument(
+    fleet.add_argument(
         "--warmup", type=float, default=2.0,
         help="replica-set provisioning latency in simulated seconds "
-        "(default: 2.0)",
+        "(with --control; default: 2.0)",
     )
-    control.add_argument(
+    fleet.add_argument(
         "--max-extra", type=int, default=4,
         help="cap on extra replica sets the controller may hold "
-        "(default: 4)",
+        "(with --control; default: 4)",
     )
-    _add_scheduler_args(control)
-    _add_live_args(control)
-    control.add_argument(
+    _add_scheduler_args(fleet)
+    _add_live_args(fleet)
+    fleet.add_argument(
         "--out", default=None,
-        help="when set, write the controlled run's merged span stream "
-        "(JSONL), Prometheus metrics scrape and controller action "
-        "log (JSONL, byte-stable across same-seed reruns) to this "
-        "directory",
+        help="when set, trace the observed fleet and write its merged "
+        "and per-shard span streams (JSONL), a Prometheus metrics "
+        "scrape and, with --control, the controller action log "
+        "(JSONL, byte-stable across same-seed reruns) to this "
+        "directory — inputs for `python -m repro profile|slo "
+        "--spans ...`",
     )
 
     distill = sub.add_parser(
@@ -1041,126 +1016,50 @@ def _cmd_diff(args):
     return header + "\n" + diff.render(), 0 if diff.ok else 1
 
 
+def _fleet_day(args, setup, spec):
+    """The serving policy and day workload a fleet run serves.
+
+    ``fleet`` and ``top --mode fleet|control`` share it: the task's
+    bursty day trace (seed + 5) with the tightest grid deadline and
+    pool samples attached (seed + 6) — the workload ``run_spec`` builds
+    for the same seed.
+    """
+    from repro.experiments.runner import make_workload, resolve_policy
+    from repro.experiments.trace_segments import make_day_trace
+
+    trace = make_day_trace(setup, duration=args.duration, seed=args.seed + 5)
+    workload = make_workload(
+        setup, trace,
+        deadline=min(setup.deadline_grid),
+        seed=args.seed + 6,
+    )
+    return resolve_policy(setup, spec), workload
+
+
 def _cmd_fleet(args) -> str:
-    from repro.experiments.fleet import run_fleet_comparison
-    from repro.experiments.runner import (
-        RunSpec,
-        make_workload,
-        resolve_policy,
-        run_spec,
-    )
-    from repro.experiments.trace_segments import make_day_trace
-    from repro.fleet import FleetConfig
-    from repro.serving.config import ServerConfig
-
-    setup = build_setup(args.task, args.preset, seed=args.seed)
-    trace = make_day_trace(setup, duration=args.duration, seed=args.seed + 5)
-    workload = make_workload(
-        setup, trace,
-        deadline=min(setup.deadline_grid),
-        seed=args.seed + 6,
-    )
-    sched_spec = RunSpec(
-        policy=args.policy,
-        scheduler=args.scheduler,
-        policy_model=args.policy_model,
-        regret_threshold=args.regret_threshold,
-    )
-    comparison = run_fleet_comparison(
-        setup.latencies,
-        resolve_policy(setup, sched_spec),
-        workload,
-        setup.quality,
-        n_shards=args.shards,
-        queue_limit=args.queue_limit,
-        workers=setup.workers_for(args.policy),
-        seed=args.seed,
-    )
-    rows = [
-        [
-            name,
-            f"{row['accuracy']:.3f}",
-            f"{row['dmr']:.3f}",
-            f"{1e3 * row['p99']:.1f}" if row["p99"] == row["p99"] else "-",
-            f"{100 * row['shed_rate']:.1f}%",
-            f"{int(row['scheduler_invocations'])}",
-        ]
-        for name, row in comparison.items()
-    ]
-    table = format_table(
-        ["serving", "accuracy", "DMR", "p99 ms", "shed", "sched calls"],
-        rows,
-        title=(
-            f"fleet comparison — {args.task} / {args.policy} "
-            f"({args.shards} shards vs 1x{args.shards} capacity)"
-        ),
-    )
-    if args.out is None:
-        return table
-
-    from repro.obs import RecordingTracer, write_prometheus, write_spans_jsonl
-
-    spec = sched_spec.replace(
-        config=FleetConfig.uniform(
-            args.shards,
-            ServerConfig(),
-            router=args.router,
-            queue_limit=args.queue_limit,
-            seed=args.seed,
-        ),
-        duration=args.duration,
-        seed=args.seed + 5,
-    )
-    tracer = RecordingTracer(slo=_slo_monitor(args))
-    result = run_spec(setup, spec, trace=trace, tracer=tracer)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.task}_fleet_{args.router}"
-    written = [
-        write_spans_jsonl(tracer.spans, out_dir / f"{stem}_spans.jsonl"),
-        write_prometheus(tracer.metrics, out_dir / f"{stem}_metrics.prom"),
-    ]
-    for shard, spans in enumerate(result.shard_spans):
-        written.append(write_spans_jsonl(
-            spans, out_dir / f"{stem}_shard{shard}_spans.jsonl"
-        ))
-    footer = "\n".join(
-        ["", f"traced {args.router}: shed {result.n_shed} of "
-             f"{len(result.assignments)} queries"]
-        + [f"wrote {path}" for path in written]
-        + [f"inspect with `python -m repro profile --spans "
-           f"{written[0]}` or `python -m repro slo --spans {written[0]}`"]
-    )
-    return table + footer
-
-
-def _cmd_control(args) -> str:
-    from repro.experiments.control import (
+    from repro.experiments.fleet import (
         default_control_config,
-        run_control_comparison,
+        run_fleet_comparison,
     )
-    from repro.experiments.runner import RunSpec, make_workload, resolve_policy
-    from repro.experiments.trace_segments import make_day_trace
+    from repro.experiments.runner import RunSpec
     from repro.obs import RecordingTracer, write_prometheus, write_spans_jsonl
 
     setup = build_setup(args.task, args.preset, seed=args.seed)
-    trace = make_day_trace(setup, duration=args.duration, seed=args.seed + 5)
-    workload = make_workload(
-        setup, trace,
-        deadline=min(setup.deadline_grid),
-        seed=args.seed + 6,
-    )
-    serving_policy = resolve_policy(setup, RunSpec(
+    policy, workload = _fleet_day(args, setup, RunSpec(
         policy=args.policy,
         scheduler=args.scheduler,
         policy_model=args.policy_model,
         regret_threshold=args.regret_threshold,
     ))
-    control = default_control_config(
-        interval=args.interval,
-        warmup=args.warmup,
-        max_extra_replicas=args.max_extra,
-        seed=args.seed,
+    control = (
+        default_control_config(
+            interval=args.interval,
+            warmup=args.warmup,
+            max_extra_replicas=args.max_extra,
+            seed=args.seed,
+        )
+        if args.control
+        else None
     )
     live = _live_plane(args, source="fleet")
     tracer = (
@@ -1169,9 +1068,9 @@ def _cmd_control(args) -> str:
         else None
     )
     metrics_server = _start_metrics_server(args, tracer)
-    rows_by_name, controlled = run_control_comparison(
+    comparison, observed = run_fleet_comparison(
         setup.latencies,
-        serving_policy,
+        policy,
         workload,
         setup.quality,
         n_shards=args.shards,
@@ -1182,62 +1081,78 @@ def _cmd_control(args) -> str:
         seed=args.seed,
         tracer=tracer,
     )
-    rows = [
-        [
+    headers = ["serving", "accuracy", "DMR", "p99 ms", "shed"]
+    title = (
+        f"fleet comparison — {args.task} / {args.policy} "
+        f"({args.shards} shards vs 1x{args.shards} capacity"
+    )
+    if control is not None:
+        headers.append("degraded")
+        title += f", control interval {args.interval:g}s"
+    rows = []
+    for name, row in comparison.items():
+        cells = [
             name,
             f"{row['accuracy']:.3f}",
             f"{row['dmr']:.3f}",
             f"{1e3 * row['p99']:.1f}" if row["p99"] == row["p99"] else "-",
             f"{100 * row['shed_rate']:.1f}%",
-            f"{100 * row['degraded_rate']:.1f}%",
         ]
-        for name, row in rows_by_name.items()
-    ]
-    counts = controlled.control_log.counts()
-    actions = ", ".join(
-        f"{kind} x{count}" for kind, count in sorted(counts.items())
-    ) or "none"
-    episodes = controlled.monitor.episodes
-    table = format_table(
-        ["serving", "accuracy", "DMR", "p99 ms", "shed", "degraded"],
-        rows,
-        title=(
-            f"control loop — {args.task} / {args.policy} "
-            f"({args.shards} shards, interval {args.interval:g}s)"
-        ),
-    )
-    footer_lines = [
-        "",
-        f"controller actions: {actions}",
-        f"overload episodes: {len(episodes)}",
-    ]
-    if args.out is None:
-        if live is not None:
-            footer_lines.extend(_live_footer(live, []))
-        _stop_metrics_server(metrics_server, args.serve_hold)
-        return table + "\n".join(footer_lines)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.task}_control"
-    log_path = out_dir / f"{stem}_log.jsonl"
-    log_text = controlled.control_log.dumps()
-    log_path.write_text(log_text + "\n" if log_text else "")
-    written = [
-        write_spans_jsonl(tracer.spans, out_dir / f"{stem}_spans.jsonl"),
-        write_prometheus(tracer.metrics, out_dir / f"{stem}_metrics.prom"),
-        log_path,
-    ]
-    footer_lines += [f"wrote {path}" for path in written]
-    footer_lines.append(
-        f"inspect with `python -m repro slo --spans {written[0]}`"
-    )
-    if live is not None:
-        footer_lines.extend(
-            _live_footer(live, live.write_artifacts(out_dir, stem))
+        if control is not None:
+            cells.append(f"{100 * row['degraded_rate']:.1f}%")
+        rows.append(cells + [f"{int(row['scheduler_invocations'])}"])
+    table = format_table(headers + ["sched calls"], rows, title=title + ")")
+    lines = [table]
+    if control is not None:
+        counts = observed.control_log.counts()
+        actions = ", ".join(
+            f"{kind} x{count}" for kind, count in sorted(counts.items())
+        ) or "none"
+        lines += [
+            "",
+            f"controller actions: {actions}",
+            f"overload episodes: {len(observed.monitor.episodes)}",
+        ]
+    live_written: List[Path] = []
+    if args.out is not None:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stem = f"{args.task}_fleet_{args.router}" + (
+            "_control" if control is not None else ""
         )
+        written = [
+            write_spans_jsonl(tracer.spans, out_dir / f"{stem}_spans.jsonl"),
+            write_prometheus(
+                tracer.metrics, out_dir / f"{stem}_metrics.prom"
+            ),
+        ]
+        for shard, spans in enumerate(observed.shard_spans):
+            written.append(write_spans_jsonl(
+                spans, out_dir / f"{stem}_shard{shard}_spans.jsonl"
+            ))
+        if control is not None:
+            log_path = out_dir / f"{stem}_log.jsonl"
+            log_text = observed.control_log.dumps()
+            log_path.write_text(log_text + "\n" if log_text else "")
+            written.append(log_path)
+        traced = (
+            f"controlled {args.router}" if control is not None
+            else args.router
+        )
+        lines += (
+            ["", f"traced {traced}: shed {observed.n_shed} of "
+                 f"{len(observed.assignments)} queries"]
+            + [f"wrote {path}" for path in written]
+            + [f"inspect with `python -m repro profile --spans "
+               f"{written[0]}` or `python -m repro slo --spans "
+               f"{written[0]}`"]
+        )
+        if live is not None:
+            live_written = live.write_artifacts(out_dir, stem)
+    if live is not None:
+        lines.extend(_live_footer(live, live_written))
     _stop_metrics_server(metrics_server, args.serve_hold)
-    return table + "\n".join(footer_lines)
+    return "\n".join(lines)
 
 
 def _cmd_distill(args) -> str:
@@ -1340,40 +1255,29 @@ def _cmd_top(args) -> str:
             return run_spec(setup, spec, tracer=tracer)
 
     else:
-        from repro.experiments.runner import make_workload, resolve_policy
-        from repro.experiments.trace_segments import make_day_trace
-        from repro.fleet import FleetConfig, FleetServer
-        from repro.serving.config import ServerConfig
-
-        trace = make_day_trace(
-            setup, duration=args.duration, seed=args.seed + 5
+        from repro.experiments.fleet import (
+            default_control_config,
+            fleet_config,
         )
-        workload = make_workload(
-            setup, trace,
-            deadline=min(setup.deadline_grid),
-            seed=args.seed + 6,
-        )
-        control = None
-        if args.mode == "control":
-            from repro.experiments.control import default_control_config
+        from repro.fleet import FleetServer
 
-            control = default_control_config(
-                interval=args.interval, seed=args.seed
-            )
-        config = FleetConfig.uniform(
-            args.shards,
-            ServerConfig(),
-            router=args.router,
-            queue_limit=args.queue_limit,
-            seed=args.seed,
-            control=control,
+        policy, workload = _fleet_day(
+            args, setup, RunSpec(policy=args.policy)
+        )
+        control = (
+            default_control_config(interval=args.interval, seed=args.seed)
+            if args.mode == "control"
+            else None
         )
         live = LiveTelemetry(live_config, source="fleet")
         tracer = RecordingTracer(live=live)
         fleet = FleetServer(
             setup.latencies,
-            resolve_policy(setup, RunSpec(policy=args.policy)),
-            config,
+            policy,
+            fleet_config(
+                args.shards, args.queue_limit, args.router, args.seed,
+                control,
+            ),
             workers=setup.workers_for(args.policy),
             tracer=tracer,
         )
@@ -1498,7 +1402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "profile": lambda: _cmd_profile(args),
         "diff": lambda: _cmd_diff(args),
         "fleet": lambda: _cmd_fleet(args),
-        "control": lambda: _cmd_control(args),
         "distill": lambda: _cmd_distill(args),
         "top": lambda: _cmd_top(args),
         "incident": lambda: _cmd_incident(args),

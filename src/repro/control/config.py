@@ -5,7 +5,7 @@ level up: frozen dataclass, all validation in ``__post_init__``,
 copy-on-write via :meth:`ControlConfig.replace`. It rides on
 :class:`~repro.fleet.config.FleetConfig` (``control=``) and therefore
 threads through :class:`~repro.experiments.runner.RunSpec` and the
-CLI (``python -m repro control``) without any new plumbing::
+CLI (``python -m repro fleet --control``) without any new plumbing::
 
     fleet = FleetConfig.uniform(4, ServerConfig(),
                                 control=ControlConfig(warmup=2.0))

@@ -80,7 +80,7 @@ class ControlLog:
 
     The canonical serialization (:meth:`dumps`) is the determinism
     contract: same trace + same seed ⇒ byte-identical output (asserted
-    by ``benchmarks/bench_control_loop.py``).
+    by ``benchmarks/bench_fleet.py``).
     """
 
     def __init__(self):

@@ -277,7 +277,7 @@ REGISTRY: List[ExperimentEntry] = [
         "everything to the deadline edge (p50 = 144ms of a 150ms "
         "budget), while fleet admission sheds the peak-hour excess "
         "(57%, priced at full-quality work) and serves what it admits "
-        "fast — served p50 20–39ms (4–7x below single) and p99 "
+        "fast — served p50 18–45ms (3–8x below single) and p99 "
         "strictly under the single server's pinned 150.0ms tail. The "
         "quality cost of refusing rather than degrading is explicit "
         "in the accuracy column: the single server degrades subsets "
@@ -285,9 +285,41 @@ REGISTRY: List[ExperimentEntry] = [
         "keeps. Determinism: same seed + trace replays to "
         "byte-identical assignments and records (tested for all three "
         "routers). Re-run with `PYTHONPATH=src python "
-        "benchmarks/bench_fleet_routing.py` (~20 min; `--quick` for "
-        "the CI smoke); regression-gated vs the committed "
-        "`BENCH_fleet.json` routing separation.",
+        "benchmarks/bench_fleet.py` (~20 min with the control day "
+        "below; `--quick` for the CI smoke); regression-gated vs the "
+        "committed `BENCH_fleet.json` routing separation.",
+    ),
+    ExperimentEntry(
+        "Control loop — holding the SLO on the diurnal burst (this repo)",
+        ["control_loop"],
+        "— (not in the paper; closes the loop between the online SLO "
+        "monitor and the fleet's capacity/admission/quality knobs).",
+        "The same ~30x diurnal day (265,264 queries, 100ms deadline, "
+        "queue limit 32) through an under-provisioned 4-shard fleet: a "
+        "static fleet per router, the `power_of_two` fleet once more "
+        "under the control loop (`FleetConfig(control=...)`), and the "
+        "equal-capacity single server. Static, the burst hours are "
+        "hopeless whatever the router: 57% of the day is shed, "
+        "accuracy 0.273–0.274. Controlled, the loop detects the burn "
+        "in the ramp, clamps plans to the cheap subset and halves "
+        "admission through the transient, and adds replica sets in "
+        "seeded rotation (2s warmup, 5s cooldown) until the peak fits "
+        "— 14 scale-ups, 6 degrade/restore cycles over 6 episodes, "
+        "everything retired LIFO by the cool-down hours. The "
+        "controlled day holds the 5% deadline-miss SLO at 4.3% with "
+        "accuracy 0.657 — 2.4x the static `power_of_two` day's — "
+        "serving 16% of answers degraded. The miss-rate separation is "
+        "13x. The single server, which has no admission limit, keeps "
+        "the whole day by queueing to the deadline edge (p50 95ms of "
+        "a 100ms budget): 0.1% misses at accuracy 0.696, where the "
+        "controlled fleet answers 5x faster at the median. "
+        "Determinism: the controller is a pure state machine (no RNG, "
+        "no wall clock), and the 52-entry action log replays "
+        "byte-identically on every same-seed rerun (asserted by the "
+        "benchmark in both modes). Re-run with `PYTHONPATH=src python "
+        "benchmarks/bench_fleet.py` (the control day is ~2 min of its "
+        "~20; `--quick` for the CI smoke); regression-gated vs the "
+        "committed `BENCH_control.json` SLO separation.",
     ),
     ExperimentEntry(
         "Design-choice ablations (this repo)",

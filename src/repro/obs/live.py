@@ -88,8 +88,9 @@ _INLINE_TRIGGERS = frozenset(
     (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
 )
 
-# Hot-path kind classification flags: on_span folds its meta/outcome/
-# trigger membership tests into one dict lookup (see _kind_flags).
+# Hot-path kind classification flags: RecordingTracer.emit folds its
+# meta/outcome/trigger membership tests into one dict lookup (see
+# _kind_flags).
 _F_META = 1
 _F_COMPLETE = 2
 _F_REJECT = 4
@@ -498,10 +499,14 @@ class LiveTelemetry:
     """The live plane one tracer carries: snapshots + recorder + watchdog.
 
     Construct, hand to ``RecordingTracer(live=...)``, run. The tracer
-    calls :meth:`bind` when attached and forwards every span through
-    :meth:`on_span` before folding it; :meth:`tick` lets epoch drivers
-    (``ServingSession.advance``, the fleet control loop) flush
-    boundaries through quiet stretches with no spans.
+    calls :meth:`bind` when attached, and its ``emit`` is the one span
+    hook: before folding each span it flushes any snapshot boundary
+    the span passes and, in deque mode, appends the span to the ring
+    or hands a flagged kind to :meth:`_on_flagged`; in span-backed
+    mode the flagged kinds ride the tracer's fold chain instead.
+    :meth:`tick` lets epoch drivers (``ServingSession.advance``, the
+    fleet control loop) flush boundaries through quiet stretches with
+    no spans.
 
     State is plain attribute reads, so a background thread (the
     ``--serve-metrics`` endpoint, the ``top`` console) can sample
@@ -582,39 +587,11 @@ class LiveTelemetry:
 
     # -- hot path ------------------------------------------------------
 
-    def on_span(self, kind: str, time: float, query_id: int, attrs) -> None:
-        """Observe one span (called by the tracer before folding it).
-
-        Hot path: ~245k calls on a 2-minute simulated run, so the
-        common case (a plain lifecycle span inside the current window)
-        does the minimum — boundary compare, one bound ``dict.get``,
-        and (deque mode only) tuple build + bound ``deque.append``.
-        ``RecordingTracer.emit`` inlines this body (the extra Python
-        call per span is the single largest live-plane cost) — the
-        boundary compare plus, in deque mode, the flags dispatch; in
-        span-backed mode the flagged kinds ride the tracer's own fold
-        chain (``_live_chain`` hooks) so a plain span pays only the
-        compare. Keep the copies in lockstep. The re-entrancy guard
-        only needs checking at a boundary: the plane's own spans are
-        all meta kinds (filtered below) and ``_flush`` advances
-        ``_next_due`` before emitting, so a re-entered call can never
-        flush again.
-        """
-        if time >= self._next_due and not self._emitting:
-            self._flush(time)
-        flags = self._flags_get(kind)
-        if flags is not None:
-            if not flags & _F_META:
-                self._on_flagged(kind, time, query_id, attrs, flags)
-        elif self._ring_append is not None:
-            self._ring_append((kind, time, query_id, attrs))
-
     def _on_flagged(
         self, kind: str, time: float, query_id: int, attrs, flags: int
     ) -> None:
-        """Rare-path half of :meth:`on_span`: outcome + trigger kinds."""
-        if self._ring_append is not None:
-            self._ring_append((kind, time, query_id, attrs))
+        """Deque-mode hook for the flagged kinds: outcome + trigger."""
+        self._ring_append((kind, time, query_id, attrs))
         if flags & _F_COMPLETE:
             if self.watchdog is not None:
                 self.watchdog.ingest(

@@ -171,13 +171,15 @@ class RecordingTracer(Tracer):
         if live is not None:
             # Before folding: a span past a snapshot boundary must not
             # leak into the window the boundary closes. This is the
-            # boundary half of LiveTelemetry.on_span inlined — an extra
-            # Python call per span is the live plane's single largest
-            # cost, and bench_obs_overhead.py gates the flight recorder
-            # at 5% over a plain RecordingTracer. In span-backed mode
-            # this compare is ALL a plain span pays; the rare kinds are
-            # handled by their _live_chain hooks in the fold chain
-            # below. Keep in lockstep with on_span.
+            # live plane's one span hook, inline because an extra
+            # Python call per span would be its single largest cost,
+            # and bench_obs_overhead.py gates the flight recorder at 5%
+            # over a plain RecordingTracer. The re-entrancy guard only
+            # matters at a boundary: the plane's own spans are meta
+            # kinds and _flush advances _next_due before emitting. In
+            # span-backed mode this compare is ALL a plain span pays;
+            # the rare kinds are handled by their _live_chain hooks in
+            # the fold chain below.
             if time >= live._next_due and not live._emitting:
                 live._flush(time)
             dq = self._live_deque

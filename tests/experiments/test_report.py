@@ -1,8 +1,10 @@
 """EXPERIMENTS.md report generator."""
 
-
+from pathlib import Path
 
 from repro.experiments.report import REGISTRY, main, render
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRender:
@@ -32,6 +34,15 @@ class TestRender:
             "fig21",
         }
         assert expected.issubset(ids)
+
+
+class TestCommitted:
+    def test_experiments_md_is_generated(self):
+        # EXPERIMENTS.md is the generator's output over the committed
+        # results: a hand edit would be lost on the next regeneration.
+        assert render(ROOT / "benchmarks" / "results") == (
+            ROOT / "EXPERIMENTS.md"
+        ).read_text()
 
 
 class TestMain:

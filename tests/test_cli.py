@@ -55,8 +55,9 @@ class TestParser:
     def test_fleet_defaults(self):
         args = build_parser().parse_args(["fleet"])
         assert args.shards == 4
-        assert args.router == "score_aware"
+        assert args.router == "power_of_two"
         assert args.queue_limit == 64
+        assert args.control is False
         assert args.out is None
 
     def test_fleet_rejects_unknown_router(self):
@@ -64,7 +65,11 @@ class TestParser:
             build_parser().parse_args(["fleet", "--router", "round_robin"])
 
     def test_control_defaults(self):
-        args = build_parser().parse_args(["control"])
+        # The control loop is a flag on `fleet`, not its own command.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["control"])
+        args = build_parser().parse_args(["fleet", "--control"])
+        assert args.control is True
         assert args.shards == 4
         assert args.router == "power_of_two"
         assert args.interval == 1.0
@@ -314,18 +319,27 @@ class TestCommands:
                                               tmp_path):
         out_dir = tmp_path / "control"
         assert main([
-            "control", "--duration", "5", "--shards", "2",
+            "fleet", "--control", "--duration", "5", "--shards", "2",
             "--out", str(out_dir),
         ]) == 0
         out = capsys.readouterr().out
-        assert "control loop" in out
-        assert "static" in out and "controlled" in out
+        assert "fleet comparison" in out
+        assert "control interval 1s" in out
+        for name in ("single", "hash", "power_of_two", "score_aware",
+                     "controlled"):
+            assert name in out
+        assert "degraded" in out
         assert "controller actions:" in out
         assert "overload episodes:" in out
-        spans = out_dir / "text_matching_control_spans.jsonl"
-        prom = out_dir / "text_matching_control_metrics.prom"
-        log = out_dir / "text_matching_control_log.jsonl"
-        for path in (spans, prom, log):
+        stem = out_dir / "text_matching_fleet_power_of_two_control"
+        spans = stem.with_name(stem.name + "_spans.jsonl")
+        prom = stem.with_name(stem.name + "_metrics.prom")
+        log = stem.with_name(stem.name + "_log.jsonl")
+        shards = [
+            stem.with_name(f"{stem.name}_shard{shard}_spans.jsonl")
+            for shard in (0, 1)
+        ]
+        for path in (spans, prom, log, *shards):
             assert path.exists()
             assert f"wrote {path}" in out
         for line in log.read_text().splitlines():
@@ -359,7 +373,7 @@ class TestDistillCommand:
         assert args.policy == "schemble"
 
     def test_scheduler_flags_on_serving_commands(self):
-        for command in ("trace", "fleet", "control"):
+        for command in ("trace", "fleet"):
             args = build_parser().parse_args([command])
             assert args.scheduler is None
             assert args.policy_model is None
@@ -416,7 +430,7 @@ class TestDistillCommand:
 
 class TestLiveOps:
     def test_live_parser_defaults(self):
-        for command in ("trace", "control"):
+        for command in ("trace", "fleet"):
             args = build_parser().parse_args([command])
             assert args.live is False
             assert args.cadence == 1.0
@@ -454,6 +468,26 @@ class TestLiveOps:
         assert "live top" in out
         assert (tmp_path / "text_matching_top_server_snapshots.jsonl"
                 ).exists()
+
+    def test_top_once_control_mode(self, capsys, tm_setup, tmp_path):
+        # The fleet branch of `top`: the controlled day `fleet
+        # --control` serves, one row per plane (fleet-wide, rolled-up
+        # and per shard) and one snapshot stream per plane.
+        assert main([
+            "top", "--once", "--mode", "control", "--shards", "2",
+            "--duration", "5", "--out", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "live top — 3 sources" in out
+        sources = {
+            line.split()[0] for line in out.splitlines() if line.strip()
+        }
+        assert {"fleet*", "fleet", "shard0", "shard1"} <= sources
+        for source in ("fleet", "shard0", "shard1"):
+            snaps = tmp_path / f"text_matching_top_{source}_snapshots.jsonl"
+            assert snaps.exists()
+            assert f"wrote {snaps}" in out
+            assert snaps.read_text().strip()
 
     def test_incident_post_mortem(self, capsys, tmp_path):
         # Freeze a bundle with the library, then post-mortem it with

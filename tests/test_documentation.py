@@ -69,3 +69,31 @@ def test_design_links_every_bench():
     assert referenced, "DESIGN.md lists no bench targets"
     for name in referenced:
         assert (bench_dir / name).exists(), f"DESIGN.md references missing {name}"
+
+
+ROOT = SRC.parent.parent
+
+
+@pytest.mark.parametrize("source", [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+    "src",
+])
+def test_named_bench_scripts_exist(source):
+    """Every ``benchmarks/*.py`` path a document or module names exists."""
+    import re
+
+    path = ROOT / source
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    named = {
+        name
+        for file in files
+        for name in re.findall(r"benchmarks/(\w+\.py)", file.read_text())
+    }
+    missing = sorted(
+        name for name in named if not (ROOT / "benchmarks" / name).exists()
+    )
+    assert not missing, f"{source} names missing {missing}"
