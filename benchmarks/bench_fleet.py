@@ -57,6 +57,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _gate import read_committed, separation_regressions  # noqa: E402
 from repro.control import ControlConfig  # noqa: E402
 from repro.experiments.fleet import (  # noqa: E402
     FLEET_LATENCIES,
@@ -297,21 +298,6 @@ def check_determinism(policy, latencies, workload, controlled):
     return []
 
 
-def check_regression(what, current, committed, quick):
-    """A separation must not halve vs a same-mode committed run."""
-    if not committed or committed.get("quick") != quick:
-        return []
-    baseline = committed.get("separation")
-    if not baseline:
-        return []
-    if current < baseline / REGRESSION_FACTOR:
-        return [
-            f"regression: {what} separation {current:.1f}x fell below "
-            f"1/{REGRESSION_FACTOR:g} of the committed {baseline:.1f}x"
-        ]
-    return []
-
-
 def write_fleet_table(routing, admission, routing_meta, admission_meta):
     """Human-readable companion table next to BENCH_fleet.json."""
     lines = [
@@ -379,10 +365,6 @@ def write_control_table(rows, meta, controlled):
     CONTROL_TABLE_PATH.write_text("\n".join(lines) + "\n")
 
 
-def read_committed(path):
-    return json.loads(path.read_text()) if path.exists() else None
-
-
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {path}")
@@ -426,11 +408,13 @@ def main(argv=None):
     control_failures += check_determinism(
         policy, latencies, workload, controlled
     )
-    fleet_failures += check_regression(
-        "routing", routing_separation(routing), committed_fleet, quick
+    fleet_failures += separation_regressions(
+        "routing", routing_separation(routing), committed_fleet, quick,
+        REGRESSION_FACTOR,
     )
-    control_failures += check_regression(
-        "SLO", slo_separation(control), committed_control, quick
+    control_failures += separation_regressions(
+        "SLO", slo_separation(control), committed_control, quick,
+        REGRESSION_FACTOR,
     )
 
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -57,6 +57,12 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _gate import (  # noqa: E402
+    NOISE_FLOOR,
+    growth_regressions,
+    paired_ratio,
+    read_committed,
+)
 from repro.data.traces import diurnal_trace  # noqa: E402
 from repro.obs.explain import DecisionLog  # noqa: E402
 from repro.obs.live import META_KINDS, LiveConfig, LiveTelemetry  # noqa: E402
@@ -89,13 +95,17 @@ MAX_OVERHEAD = 0.05
 # baseline: ring append + snapshot windows must stay within 5%.
 MAX_LIVE_OVERHEAD = 0.05
 # Regression gate vs the committed BENCH_obs.json: fail only when the
-# overhead is both above the absolute noise floor and more than
-# REGRESSION_FACTOR times the committed figure. The floor matches the
-# observed jitter of the null-tracer comparison on a contended CI
-# machine: back-to-back interleaved min-of-4 runs still swing roughly
-# -3%..+3%, so a 2.5% floor flakes on noise alone.
+# overhead is both above the absolute noise floor (_gate.NOISE_FLOOR)
+# and more than REGRESSION_FACTOR times the committed figure, or when
+# a tracer slowdown ratio grows past REGRESSION_FACTOR times its own.
 REGRESSION_FACTOR = 2.0
-NOISE_FLOOR = 0.04
+#: The gated metrics, each with its absolute floor (None: no floor).
+REGRESSION_FLOORS = {
+    "null_tracer_overhead": NOISE_FLOOR,
+    "recording_tracer_ratio": None,
+    "profiling_tracer_ratio": None,
+    "live_tracer_ratio": None,
+}
 
 
 def load_baseline_server():
@@ -237,25 +247,6 @@ def time_variants(runs, repeats=REPEATS):
     return {name: min(times) for name, times in samples.items()}, samples
 
 
-def paired_ratio(samples, numer, denom):
-    """Median of the per-round ``numer/denom`` ratios.
-
-    The two variants run inside the same round (seconds apart, often
-    back to back), so a slow machine phase inflates both timings of a
-    pair alike and mostly cancels in the ratio — unlike
-    ``min(numer)/min(denom)``, whose minima can land in different
-    phases and carry the full phase delta. The median across rounds
-    then discards pairs a phase boundary split. This is the statistic
-    behind the tight (5%) overhead gates."""
-    ratios = sorted(
-        n / d for n, d in zip(samples[numer], samples[denom])
-    )
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return (ratios[mid - 1] + ratios[mid]) / 2.0
-
-
 def check_overhead(quick=False):
     """NullTracer wall-clock vs the pre-observability server."""
     mask = 0b11
@@ -334,50 +325,10 @@ def check_overhead(quick=False):
     }, overhead
 
 
-def check_regression(stats, committed):
-    """Overhead-regression gate vs the committed ``BENCH_obs.json``."""
-    failures = []
-    if not committed or "overhead" not in committed:
-        return failures, True
-    baseline = committed["overhead"]
-    overhead = stats["null_tracer_overhead"]
-    committed_overhead = baseline.get("null_tracer_overhead")
-    if committed_overhead is not None:
-        # Sub-noise-floor overheads never fail: with a committed figure
-        # near zero, 2x of almost-nothing is still almost nothing.
-        allowed = max(
-            NOISE_FLOOR, REGRESSION_FACTOR * committed_overhead
-        )
-        if overhead > allowed:
-            failures.append({
-                "metric": "null_tracer_overhead",
-                "value": overhead,
-                "committed": committed_overhead,
-                "allowed": allowed,
-            })
-    for metric in ("recording_tracer_ratio", "profiling_tracer_ratio",
-                   "live_tracer_ratio"):
-        ratio = stats.get(metric)
-        committed_ratio = baseline.get(metric)
-        if ratio is None or committed_ratio is None:
-            continue
-        allowed = REGRESSION_FACTOR * committed_ratio
-        if ratio > allowed:
-            failures.append({
-                "metric": metric,
-                "value": ratio,
-                "committed": committed_ratio,
-                "allowed": allowed,
-            })
-    return failures, not failures
-
-
 def main(argv=None):
     quick = "--quick" in (argv if argv is not None else sys.argv[1:])
     # The committed baseline must be read before this run overwrites it.
-    committed = None
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
+    committed = read_committed(RESULTS_PATH)
 
     identity, identical = check_identity()
     print(f"identity: {identity['queries']} queries, "
@@ -401,7 +352,10 @@ def main(argv=None):
         f"live tracer {overhead_stats['live_tracer_s']:.3f}s "
         f"({overhead_stats['live_vs_recording_ratio']:.3f}x vs recording)"
     )
-    regressions, regression_ok = check_regression(overhead_stats, committed)
+    regressions, regression_ok = growth_regressions(
+        overhead_stats, (committed or {}).get("overhead", {}),
+        REGRESSION_FACTOR, REGRESSION_FLOORS,
+    )
 
     payload = {
         "identity": identity,

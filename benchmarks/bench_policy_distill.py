@@ -40,6 +40,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _gate import grid_regressions, read_committed  # noqa: E402
 from repro.experiments.runner import RunSpec, run_spec  # noqa: E402
 from repro.experiments.setups import build_setup  # noqa: E402
 from repro.obs.explain import DecisionLog, DecisionRecord  # noqa: E402
@@ -299,36 +300,9 @@ def run_e2e(quick):
     }
 
 
-def check_regression(timing, committed):
-    """Fail any grid point whose speedup collapsed vs the baseline."""
-    if not committed:
-        return [], True
-    baseline = {
-        (point["n_queries"], point["n_models"]): point["speedup"]
-        for point in committed.get("step_timing", [])
-    }
-    failures = []
-    for point in timing:
-        key = (point["n_queries"], point["n_models"])
-        if key not in baseline:
-            continue
-        floor = baseline[key] / REGRESSION_FACTOR
-        if point["speedup"] < floor:
-            failures.append({
-                "n_queries": key[0],
-                "n_models": key[1],
-                "speedup": point["speedup"],
-                "committed_speedup": baseline[key],
-                "floor": floor,
-            })
-    return failures, not failures
-
-
 def main(argv=None):
     quick = "--quick" in (argv if argv is not None else sys.argv[1:])
-    committed = None
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
+    committed = read_committed(RESULTS_PATH)
 
     rng = np.random.default_rng(2026)
     n_train = TRAIN_INSTANCES_QUICK if quick else TRAIN_INSTANCES
@@ -381,7 +355,10 @@ def main(argv=None):
         print("FAIL: regret_threshold=0 did not reproduce the all-DP "
               "run bit-exactly")
 
-    regressions, regression_ok = check_regression(step_timing, committed)
+    regressions, regression_ok = grid_regressions(
+        step_timing, committed, "step_timing", "speedup", REGRESSION_FACTOR,
+        "committed_speedup",
+    )
     for failure in regressions:
         print(f"FAIL: step speedup {failure['speedup']:.0f}x at "
               f"n={failure['n_queries']} m={failure['n_models']} fell "

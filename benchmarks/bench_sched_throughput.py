@@ -50,6 +50,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _gate import grid_regressions, read_committed  # noqa: E402
 from repro.scheduling.dp import LOOP_FORM_MAX_SIZE, DPScheduler  # noqa: E402
 from repro.scheduling.dp_reference import DPReferenceScheduler  # noqa: E402
 from repro.scheduling.problem import (  # noqa: E402
@@ -294,56 +295,6 @@ def time_crossover(instances_per_point, repeats):
     return results
 
 
-def check_large_regression(large_timing, committed):
-    """Fail any serving-scale point whose anchor ratio blew up 3x."""
-    if not committed:
-        return [], True
-    baseline = {
-        (point["n_queries"], point["n_models"]): point["ratio_to_anchor"]
-        for point in committed.get("large_timing", [])
-    }
-    failures = []
-    for point in large_timing:
-        key = (point["n_queries"], point["n_models"])
-        if key not in baseline:
-            continue
-        ceiling = baseline[key] * LARGE_REGRESSION_FACTOR
-        if point["ratio_to_anchor"] > ceiling:
-            failures.append({
-                "n_queries": key[0],
-                "n_models": key[1],
-                "ratio_to_anchor": point["ratio_to_anchor"],
-                "committed_ratio": baseline[key],
-                "ceiling": ceiling,
-            })
-    return failures, not failures
-
-
-def check_regression(timing, committed):
-    """Fail any grid point whose speedup halved vs the committed run."""
-    if not committed:
-        return [], True
-    baseline = {
-        (point["n_queries"], point["n_models"]): point["speedup"]
-        for point in committed.get("timing", [])
-    }
-    failures = []
-    for point in timing:
-        key = (point["n_queries"], point["n_models"])
-        if key not in baseline:
-            continue
-        floor = baseline[key] / REGRESSION_FACTOR
-        if point["speedup"] < floor:
-            failures.append({
-                "n_queries": key[0],
-                "n_models": key[1],
-                "speedup": point["speedup"],
-                "committed_speedup": baseline[key],
-                "floor": floor,
-            })
-    return failures, not failures
-
-
 def format_crossover(crossover):
     """The crossover table: kernel/loop-form µs per call per grid point,
     upper-case where the dispatch picks that form."""
@@ -370,9 +321,7 @@ def format_crossover(crossover):
 def main(argv=None):
     quick = "--quick" in (argv if argv is not None else sys.argv[1:])
     # The committed baseline must be read before this run overwrites it.
-    committed = None
-    if RESULTS_PATH.exists():
-        committed = json.loads(RESULTS_PATH.read_text())
+    committed = read_committed(RESULTS_PATH)
 
     n_parity = PARITY_INSTANCES_QUICK if quick else PARITY_INSTANCES
     parity, parity_ok = check_parity(n_parity)
@@ -414,9 +363,14 @@ def main(argv=None):
     crossover_lines = format_crossover(crossover)
     print("\n".join(crossover_lines))
 
-    regressions, regression_ok = check_regression(timing, committed)
-    large_regressions, large_ok = check_large_regression(
-        large_timing, committed
+    regressions, regression_ok = grid_regressions(
+        timing, committed, "timing", "speedup", REGRESSION_FACTOR,
+        "committed_speedup",
+    )
+    # A serving-scale point fails when its anchor ratio blows up.
+    large_regressions, large_ok = grid_regressions(
+        large_timing, committed, "large_timing", "ratio_to_anchor",
+        LARGE_REGRESSION_FACTOR, "committed_ratio", lower_is_better=True,
     )
 
     speedup_ok = True

@@ -1,21 +1,17 @@
 """Exp-5 / Fig. 13: computational and memory overhead of Schemble.
 
-Three views are reported: (a) the serving-cost model's predictor
+Two views are reported: (a) the serving-cost model's predictor
 profile (latency and memory relative to the ensemble, derived from the
-paper's published ratios), (b) *measured* numbers from this repo's
+paper's published ratios) and (b) *measured* numbers from this repo's
 numpy substrate — wall-clock per-query inference time and parameter
-counts of the predictor versus the base models — and (c) the
-*scheduler's* real cost during a serving run, taken from the server's
-own per-invocation ``perf_counter`` measurements (the observability
-layer) rather than re-clocking the scheduler here.
+counts of the predictor versus the base models.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.data.traces import poisson_trace
 from repro.difficulty.predictor import predictor_profile
 from repro.experiments.setups import TaskSetup
 
@@ -78,54 +74,4 @@ def measured_overhead(
         "predictor_params": float(predictor_params),
         "ensemble_params": float(total_params),
         "param_fraction": predictor_params / max(total_params, 1),
-    }
-
-
-def serving_scheduler_overhead(
-    setup: TaskSetup,
-    duration: float = 20.0,
-    deadline: Optional[float] = None,
-    rate: Optional[float] = None,
-    seed: int = 0,
-) -> Dict[str, float]:
-    """Real scheduler cost observed during a traced serving run.
-
-    Serves a Poisson workload with the Schemble policy under a
-    :class:`~repro.obs.tracer.RecordingTracer` and reports the
-    scheduler-invocation wall-clock statistics the server measured
-    itself (``ServingResult.scheduler_wall_time`` plus the
-    per-invocation histogram from the metrics registry) — the
-    measurement Exp-5's overhead argument is about, with no separate
-    re-clocking pass.
-    """
-    from repro.experiments.runner import make_workload, run_policy
-    from repro.obs.tracer import RecordingTracer
-
-    if deadline is None:
-        deadline = min(setup.deadline_grid)
-    if rate is None:
-        rate = setup.overload_rate
-    trace = poisson_trace(rate, duration, seed=seed)
-    workload = make_workload(setup, trace, deadline=deadline, seed=seed + 1)
-    tracer = RecordingTracer(keep_spans=False)
-    result = run_policy(
-        setup,
-        setup.policies()["schemble"],
-        workload,
-        policy_name="schemble",
-        tracer=tracer,
-    )
-    wall = tracer.metrics.histogram("scheduler.wall_s").summary()
-    return {
-        "queries": float(len(result)),
-        "invocations": float(result.scheduler_invocations),
-        "work_units": float(result.scheduler_work_units),
-        "wall_total_s": result.scheduler_wall_time,
-        "wall_mean_s": wall["mean"],
-        "wall_p95_s": wall["p95"],
-        "wall_max_s": wall["max"],
-        "wall_per_query_s": result.scheduler_wall_time / max(len(result), 1),
-        "sim_overhead_total_s": tracer.metrics.histogram(
-            "scheduler.overhead_sim_s"
-        ).total,
     }

@@ -146,13 +146,6 @@ class DecisionLog:
         """All decisions about ``query_id``, in planning order."""
         return [self.records[i] for i in self._open.get(query_id, [])]
 
-    def latest_for(self, query_id: int) -> Optional[DecisionRecord]:
-        """The decision that finally dispatched (or rejected) the
-        query — what the blame report cross-links a slow query to.
-        None for queries that were never explained."""
-        indices = self._open.get(query_id)
-        return self.records[indices[-1]] if indices else None
-
     def write_jsonl(self, path: Union[str, Path]) -> Path:
         """One JSON object per decision; parent dirs are created."""
         path = Path(path)

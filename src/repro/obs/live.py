@@ -32,11 +32,14 @@ canonicalizes a bundle with those scrubbed; the test suite and the
 overhead benchmark compare fingerprints, not raw bytes.
 
 Attachment: pass a :class:`LiveTelemetry` to
-``RecordingTracer(live=...)``. The tracer forwards every span before
-folding it, so window attribution is exact; when ``live`` is ``None``
-(the default) the tracer path is unchanged and a disabled run stays
-bit-identical to pre-live behaviour (proved by
-``benchmarks/bench_obs_overhead.py``).
+``RecordingTracer(live=...)``. ``RecordingTracer.emit`` is the plane's
+one span hook. A span first flushes every snapshot boundary it passes,
+so a window, its snapshot and the bundles frozen at it end at the
+boundary; then the flight recorder stores it; then the tracer's fold
+chain hands outcome kinds to the watchdog and trigger kinds to the
+recorder. When ``live`` is ``None`` (the default) the tracer path is
+unchanged and a disabled run stays bit-identical to pre-live behaviour
+(proved by ``benchmarks/bench_obs_overhead.py``).
 """
 
 from __future__ import annotations
@@ -56,11 +59,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import (
     ANOMALY,
-    COMPLETE,
     DEGRADE_MODE,
     INCIDENT,
-    KINDS,
-    REJECT,
     SCALE_UP,
     SLO_BREACH,
     SNAPSHOT,
@@ -72,29 +72,16 @@ from repro.obs.spans import (
 #: ``repro.profile/1`` pattern); bump on breaking layout changes.
 INCIDENT_SCHEMA = "repro.incident/1"
 
-#: Default trigger span kinds that freeze the flight recorder.
+#: Trigger span kinds that freeze the flight recorder: the default set
+#: and the only kinds allowed, because ``RecordingTracer``'s fold chain
+#: hooks exactly these (``anomaly`` fires from the watchdog at a
+#: boundary, not from a span).
 DEFAULT_TRIGGERS = (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
 
-#: Kinds the live plane emits about itself — never re-ingested into the
-#: ring or the watchdog (a fleet tracer replaying shard streams sees
+#: Kinds the live plane emits about itself — never stored in the ring
+#: or fed to the watchdog (a fleet tracer replaying shard streams sees
 #: shard-level snapshot spans go by).
 META_KINDS = frozenset((SNAPSHOT, ANOMALY, INCIDENT))
-
-#: Trigger kinds ``RecordingTracer``'s fold chain carries inline hooks
-#: for (``anomaly`` fires from the watchdog at the boundary, not from a
-#: span). Span-backed mode requires the configured triggers to be a
-#: subset; an exotic trigger set falls back to the per-span deque path.
-_INLINE_TRIGGERS = frozenset(
-    (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
-)
-
-# Hot-path kind classification flags: RecordingTracer.emit folds its
-# meta/outcome/trigger membership tests into one dict lookup (see
-# _kind_flags).
-_F_META = 1
-_F_COMPLETE = 2
-_F_REJECT = 4
-_F_TRIGGER = 8
 
 
 @dataclass(frozen=True)
@@ -104,8 +91,9 @@ class LiveConfig:
     Attributes:
         cadence: Simulated seconds between snapshot boundaries.
         ring_capacity: Spans the flight recorder retains.
-        triggers: Span kinds that freeze the ring into a bundle
-            (``anomaly`` covers the watchdog; drop it to disarm).
+        triggers: Span kinds that freeze the ring into a bundle, a
+            subset of :data:`DEFAULT_TRIGGERS` (``anomaly`` covers the
+            watchdog; drop a kind to disarm it).
         watchdog: Master switch for the anomaly watchdog.
         baseline_windows: Clean windows the watchdog accumulates before
             it arms (warm-up).
@@ -154,10 +142,11 @@ class LiveConfig:
             )
         if self.anomaly_latency_factor <= 1.0 or self.anomaly_miss_factor <= 1.0:
             raise ValueError("anomaly factors must exceed 1.0")
-        unknown = set(self.triggers) - set(KINDS)
+        unknown = set(self.triggers) - set(DEFAULT_TRIGGERS)
         if unknown:
             raise ValueError(
-                f"unknown trigger span kinds: {sorted(unknown)}"
+                f"unknown trigger span kinds: {sorted(unknown)} "
+                f"(triggers are a subset of {list(DEFAULT_TRIGGERS)})"
             )
 
 
@@ -371,18 +360,19 @@ class AnomalyWatchdog:
 class FlightRecorder:
     """Bounded ring of recent spans plus the freeze-to-bundle logic.
 
-    Two storage modes:
+    Two stores behind one hook path; :meth:`LiveTelemetry.bind` picks
+    one from the tracer's ``keep_spans``:
 
-    * **Deque mode** (default): the ring stores ``(kind, time,
-      query_id, attrs)`` tuples appended per span — the attrs dict is
-      shared with the tracer's span, never copied on the hot path.
-    * **Span-list mode** (:meth:`use_span_list`): when the tracer
-      already keeps its full span stream, the ring is a *view* over
-      the tail of that list — the per-span append disappears entirely,
-      which is what keeps the always-on recorder inside the 5%
-      overhead gate of ``bench_obs_overhead.py``.
+    * **Deque** (``keep_spans=False``): the tracer appends each
+      non-meta span as a ``(kind, time, query_id, attrs)`` tuple — the
+      attrs dict is shared with the caller, never copied on the hot
+      path.
+    * **Span-list view** (``keep_spans=True``, :meth:`use_span_list`):
+      the tracer already keeps its full span stream, so the ring is a
+      view over the tail of that list and costs nothing per span.
 
-    Either way :meth:`spans` yields the same window (last
+    Each store is the cheaper one for its tracer, which is why both
+    stay. Either way :meth:`spans` yields the same window (the last
     ``ring_capacity`` non-meta spans) and :meth:`freeze` materializes
     :class:`Span` objects only when a trigger actually fires.
     """
@@ -436,15 +426,13 @@ class FlightRecorder:
         source: str,
         totals: Dict[str, float],
         snapshots: Sequence[TelemetrySnapshot],
+        ring_spans: List[Span],
         control: Optional[List[Dict[str, object]]] = None,
-        decisions: Optional[Dict[int, List[Dict[str, object]]]] = None,
-        ring_spans: Optional[List[Span]] = None,
     ) -> Dict[str, object]:
-        """Materialize the ring into a schema-tagged incident bundle."""
+        """Materialize ``ring_spans`` (this ring's :meth:`spans`) into a
+        schema-tagged incident bundle with empty ``decisions``."""
         from repro.obs.profile import LatencyAttributor
 
-        if ring_spans is None:
-            ring_spans = self.spans()
         window_start = ring_spans[0].time if ring_spans else time
         attributor = LatencyAttributor(
             compression=self._config.compression
@@ -484,13 +472,7 @@ class FlightRecorder:
             ],
             "blame": blame,
             "control": control if control is not None else [],
-            "decisions": (
-                {
-                    str(qid): decisions[qid]
-                    for qid in sorted(decisions)
-                }
-                if decisions else {}
-            ),
+            "decisions": {},
             "spans": [span.to_dict() for span in ring_spans],
         }
 
@@ -499,14 +481,15 @@ class LiveTelemetry:
     """The live plane one tracer carries: snapshots + recorder + watchdog.
 
     Construct, hand to ``RecordingTracer(live=...)``, run. The tracer
-    calls :meth:`bind` when attached, and its ``emit`` is the one span
-    hook: before folding each span it flushes any snapshot boundary
-    the span passes and, in deque mode, appends the span to the ring
-    or hands a flagged kind to :meth:`_on_flagged`; in span-backed
-    mode the flagged kinds ride the tracer's fold chain instead.
-    :meth:`tick` lets epoch drivers (``ServingSession.advance``, the
-    fleet control loop) flush boundaries through quiet stretches with
-    no spans.
+    calls :meth:`bind` when attached, which picks the recorder's store
+    from its ``keep_spans``. Its ``emit`` is the one span hook: a span
+    first flushes any snapshot boundary it passes, is then stored (a
+    deque append, or nothing when the ring is a view over the tracer's
+    span list), and the tracer's fold chain hands ``complete``/
+    ``reject`` to the watchdog and trigger kinds to
+    :meth:`_maybe_trigger`. :meth:`tick` lets epoch drivers
+    (``ServingSession.advance``, the fleet control loop) flush
+    boundaries through quiet stretches with no spans.
 
     State is plain attribute reads, so a background thread (the
     ``--serve-metrics`` endpoint, the ``top`` console) can sample
@@ -539,19 +522,9 @@ class LiveTelemetry:
         self._trigger_set = frozenset(self.config.triggers)
         self._emitting = False
         self._finalized = False
-        # Hot-path accelerators: one bound append (skips two attribute
-        # hops per span) and one flags-dict lookup replacing the
-        # meta/complete/reject/trigger membership cascade. Kinds absent
-        # from the dict (the overwhelming majority of spans) take the
-        # shortest path: append to the ring and return.
+        # The deque store's bound append, which the tracer calls per
+        # non-meta span; None once bind makes the ring a span-list view.
         self._ring_append = self.recorder.append
-        flags: Dict[str, int] = {kind: _F_META for kind in META_KINDS}
-        flags[COMPLETE] = flags.get(COMPLETE, 0) | _F_COMPLETE
-        flags[REJECT] = flags.get(REJECT, 0) | _F_REJECT
-        for kind in self._trigger_set:
-            flags[kind] = flags.get(kind, 0) | _F_TRIGGER
-        self._kind_flags = flags
-        self._flags_get = flags.get
 
     # -- attachment ----------------------------------------------------
 
@@ -564,14 +537,8 @@ class LiveTelemetry:
             )
         self._tracer = tracer
         self._metrics = tracer.metrics
-        if (
-            getattr(tracer, "keep_spans", False)
-            and self._trigger_set <= _INLINE_TRIGGERS
-        ):
-            # The tracer's own span list doubles as the flight ring:
-            # plain spans then cost the live plane nothing per span,
-            # and the outcome/trigger kinds are handled by the tracer's
-            # fold chain (which dispatches on kind anyway).
+        if getattr(tracer, "keep_spans", False):
+            # The tracer's own span list doubles as the flight ring.
             self.recorder.use_span_list(tracer.spans)
             self._ring_append = None
 
@@ -587,28 +554,11 @@ class LiveTelemetry:
 
     # -- hot path ------------------------------------------------------
 
-    def _on_flagged(
-        self, kind: str, time: float, query_id: int, attrs, flags: int
-    ) -> None:
-        """Deque-mode hook for the flagged kinds: outcome + trigger."""
-        self._ring_append((kind, time, query_id, attrs))
-        if flags & _F_COMPLETE:
-            if self.watchdog is not None:
-                self.watchdog.ingest(
-                    missed=float(attrs.get("slack", 0.0)) < 0.0,
-                    latency=float(attrs.get("latency", 0.0)),
-                )
-        elif flags & _F_REJECT:
-            if self.watchdog is not None:
-                self.watchdog.ingest(missed=True, latency=None)
-        if flags & _F_TRIGGER:
-            self._freeze(kind, time, query_id, dict(attrs))
-
     def _maybe_trigger(
         self, kind: str, time: float, query_id: int, attrs
     ) -> None:
-        """Span-backed-mode trigger hook, called from the tracer's fold
-        chain on the ``_INLINE_TRIGGERS`` kinds."""
+        """Trigger hook, called from the tracer's fold chain on the
+        span kinds of :data:`DEFAULT_TRIGGERS`, before their fold."""
         if kind in self._trigger_set:
             self._freeze(kind, time, query_id, dict(attrs))
 
@@ -742,8 +692,8 @@ class LiveTelemetry:
             source=self.source,
             totals=dict(self._totals()),
             snapshots=self.snapshots,
-            control=control,
             ring_spans=ring_spans,
+            control=control,
         )
         if self._decisions is not None:
             decisions: Dict[str, List[Dict[str, object]]] = {}

@@ -11,14 +11,17 @@ one branch per event — the benchmark guard in
 folds it into a :class:`~repro.obs.metrics.MetricsRegistry` as spans
 arrive (streaming, bounded memory): buffer depth over simulated time,
 per-worker busy seconds, scheduler invocation latency (simulated
-overhead and real wall-clock), plan sizes and deadline slack.
+overhead and real wall-clock), plan sizes and deadline slack. Its
+``emit`` is also the one span hook of an attached live plane
+(:mod:`repro.obs.live`): boundary flush, flight-recorder store, and
+the outcome and trigger hooks in the fold chain.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.live import _F_META
+from repro.obs.live import META_KINDS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     ADMISSION_CHANGE,
@@ -103,10 +106,12 @@ class RecordingTracer(Tracer):
             folded here into ``sched.phase_s.*`` counters and the
             ``task.queue_wait_s`` histogram. Off by default so
             unprofiled traces stay span-for-span identical to before.
-        live: Optional :class:`~repro.obs.live.LiveTelemetry` plane.
-            Every span is forwarded to it *before* being folded here,
-            so snapshot windows partition the stream exactly; the
-            plane's own ``snapshot``/``anomaly``/``incident`` spans
+        live: Optional :class:`~repro.obs.live.LiveTelemetry` plane,
+            driven from :meth:`emit` alone: each span flushes the
+            snapshot boundaries it passes before it is stored or
+            folded, so windows partition the stream exactly, and the
+            fold chain hands outcome and trigger kinds to the plane.
+            The plane's own ``snapshot``/``anomaly``/``incident`` spans
             come back out through this tracer. ``None`` (the default)
             keeps the emit path identical to pre-live behaviour.
     """
@@ -146,49 +151,32 @@ class RecordingTracer(Tracer):
         self._compression = compression
         if slo is not None:
             slo.bind(self)
-        # The live plane runs in one of two modes (decided by bind):
-        # span-backed (the tracer's span list IS the flight ring; the
-        # fold chain below carries the outcome/trigger hooks) or deque
-        # (per-span ring append via the flags dict). Cache which one so
-        # emit pays a single attribute test per span.
-        self._live_deque: "Optional[LiveTelemetry]" = None
-        self._live_chain: "Optional[LiveTelemetry]" = None
         if live is not None:
             live.bind(self)
-            if live._ring_append is not None:
-                self._live_deque = live
-            else:
-                self._live_chain = live
 
     def emit(self, kind: str, time: float, query_id: int = -1, **attrs):
         """Record one lifecycle event and update the derived metrics."""
-        if self.keep_spans:
-            # Appended before the live hook so a freeze fired by this
-            # very span (slo_breach etc.) sees it in the span-backed
-            # flight window.
-            self.spans.append(Span(kind, time, query_id, attrs))
         live = self.live
         if live is not None:
-            # Before folding: a span past a snapshot boundary must not
-            # leak into the window the boundary closes. This is the
-            # live plane's one span hook, inline because an extra
-            # Python call per span would be its single largest cost,
-            # and bench_obs_overhead.py gates the flight recorder at 5%
-            # over a plain RecordingTracer. The re-entrancy guard only
-            # matters at a boundary: the plane's own spans are meta
-            # kinds and _flush advances _next_due before emitting. In
-            # span-backed mode this compare is ALL a plain span pays;
-            # the rare kinds are handled by their _live_chain hooks in
-            # the fold chain below.
+            # The live plane's one span hook, inline because an extra
+            # Python call per span would be its largest cost. A span
+            # past a snapshot boundary flushes it before it is stored
+            # or folded, so it stays out of the closed window (its
+            # snapshot and the bundles frozen at it) and after the
+            # boundary's snapshot span in the kept stream. The
+            # re-entrancy guard only matters at a boundary: the
+            # plane's own spans are meta kinds and _flush advances
+            # _next_due before emitting. The deque store takes every
+            # non-meta span; the span-list store is this tracer's own
+            # list. Outcome and trigger kinds reach the plane from
+            # their branches of the fold chain below.
             if time >= live._next_due and not live._emitting:
                 live._flush(time)
-            dq = self._live_deque
-            if dq is not None:
-                flags = dq._flags_get(kind)
-                if flags is None:  # common case: plain lifecycle span
-                    dq._ring_append((kind, time, query_id, attrs))
-                elif not flags & _F_META:
-                    dq._on_flagged(kind, time, query_id, attrs, flags)
+            ring_append = live._ring_append
+            if ring_append is not None and kind not in META_KINDS:
+                ring_append((kind, time, query_id, attrs))
+        if self.keep_spans:
+            self.spans.append(Span(kind, time, query_id, attrs))
         if time > self.end_time:
             self.end_time = time
         metrics = self.metrics
@@ -213,9 +201,8 @@ class RecordingTracer(Tracer):
         elif kind == PLAN:
             self._plan_size.add(attrs["size"])
         elif kind == COMPLETE:
-            lc = self._live_chain
-            if lc is not None and lc.watchdog is not None:
-                lc.watchdog.ingest(
+            if live is not None and live.watchdog is not None:
+                live.watchdog.ingest(
                     missed=float(attrs["slack"]) < 0.0,
                     latency=float(attrs["latency"]),
                 )
@@ -229,9 +216,8 @@ class RecordingTracer(Tracer):
                     degraded=bool(attrs.get("degraded", False)),
                 )
         elif kind == REJECT:
-            lc = self._live_chain
-            if lc is not None and lc.watchdog is not None:
-                lc.watchdog.ingest(missed=True, latency=None)
+            if live is not None and live.watchdog is not None:
+                live.watchdog.ingest(missed=True, latency=None)
             metrics.counter("queries.rejected").inc()
             if self.slo is not None:
                 self.slo.observe(time, missed=True)
@@ -245,12 +231,10 @@ class RecordingTracer(Tracer):
         elif kind == RETRY:
             metrics.counter("tasks.retried").inc()
         elif kind == WORKER_DOWN:
-            lc = self._live_chain
-            if lc is not None:
-                # Hook before folding: the frozen bundle's totals must
-                # not include the trigger span itself (deque-mode
-                # parity, where the freeze precedes the fold).
-                lc._maybe_trigger(kind, time, query_id, attrs)
+            # Every trigger hooks before its fold: a frozen bundle's
+            # totals never count the trigger span itself.
+            if live is not None:
+                live._maybe_trigger(kind, time, query_id, attrs)
             metrics.counter("workers.crashes").inc()
             worker = int(attrs["worker"])
             self.worker_downtime[worker] = (
@@ -281,9 +265,8 @@ class RecordingTracer(Tracer):
         elif kind == SHED:
             metrics.counter("admission.shed").inc()
         elif kind == SLO_BREACH:
-            lc = self._live_chain
-            if lc is not None:
-                lc._maybe_trigger(kind, time, query_id, attrs)
+            if live is not None:
+                live._maybe_trigger(kind, time, query_id, attrs)
             metrics.counter("slo.breaches").inc()
         elif kind == SLO_RECOVERED:
             metrics.counter("slo.recoveries").inc()
@@ -291,9 +274,8 @@ class RecordingTracer(Tracer):
             # Control plane (repro.control): capacity and quality
             # actuations show up as counters so profile/explain/diff
             # see controller activity without parsing the action log.
-            lc = self._live_chain
-            if lc is not None:
-                lc._maybe_trigger(kind, time, query_id, attrs)
+            if live is not None:
+                live._maybe_trigger(kind, time, query_id, attrs)
             metrics.counter("control.scale_ups").inc()
             metrics.gauge("control.replica_level").sample(
                 time, attrs.get("level", 0)
@@ -304,9 +286,8 @@ class RecordingTracer(Tracer):
                 time, attrs.get("level", 0)
             )
         elif kind == DEGRADE_MODE:
-            lc = self._live_chain
-            if lc is not None:
-                lc._maybe_trigger(kind, time, query_id, attrs)
+            if live is not None:
+                live._maybe_trigger(kind, time, query_id, attrs)
             metrics.counter("control.degrades").inc()
         elif kind == RESTORE:
             metrics.counter("control.restores").inc()

@@ -2,14 +2,15 @@
 
 Covers the snapshot stream (cadence windows, delta encoding, digest
 checkpoints, fleet rollup), the anomaly watchdog, the flight recorder
-in both storage modes (per-span deque vs span-backed view over the
-tracer's list), incident freezing (triggers, cooldown, caps), bundle
-serialization, and the determinism contract
-(:func:`incident_fingerprint`).
+in both stores (per-span deque vs a view over the tracer's span list,
+one hook path), incident freezing (triggers, cooldown, caps), windows
+that end at their boundary in a served run, bundle serialization, and
+the determinism contract (:func:`incident_fingerprint`).
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.obs.live import (
@@ -35,6 +36,10 @@ from repro.obs.spans import (
     WORKER_DOWN,
 )
 from repro.obs.tracer import RecordingTracer
+from repro.scheduling.dp import DPScheduler
+from repro.serving.policies import BufferedSchedulingPolicy
+from repro.serving.server import EnsembleServer
+from repro.serving.workload import ServingWorkload
 
 
 def complete(tracer, time, qid, latency=0.01, slack=0.02):
@@ -66,6 +71,12 @@ class TestLiveConfig:
     def test_rejects_unknown_trigger_kind(self):
         with pytest.raises(ValueError, match="unknown trigger"):
             LiveConfig(triggers=("not_a_span_kind",))
+
+    def test_rejects_span_kinds_the_fold_chain_does_not_hook(self):
+        # task_failed is a span kind, but no fold-chain branch hands it
+        # to the plane, so it could never freeze a bundle.
+        with pytest.raises(ValueError, match="unknown trigger"):
+            LiveConfig(triggers=(TASK_FAILED,))
 
 
 class TestSnapshots:
@@ -284,16 +295,6 @@ class TestIncidents:
         assert len(live.incidents) == 1
         assert live.incidents[0]["trigger"]["kind"] == WORKER_DOWN
 
-    def test_exotic_trigger_falls_back_to_deque_mode(self):
-        # task_failed is not an inline-hooked kind, so even a
-        # span-keeping tracer must route it through the per-span path.
-        live = LiveTelemetry(incident_config(triggers=(TASK_FAILED,)))
-        tracer = RecordingTracer(keep_spans=True, live=live)
-        assert live.recorder._span_list is None  # deque mode
-        tracer.emit(TASK_FAILED, 0.5, 7, model=1, reason="crash")
-        assert len(live.incidents) == 1
-        assert live.incidents[0]["trigger"]["kind"] == TASK_FAILED
-
     def test_watchdog_anomaly_freezes_through_the_plane(self):
         live = LiveTelemetry(LiveConfig(
             cadence=1.0, baseline_windows=2, anomaly_min_events=5,
@@ -342,6 +343,91 @@ class TestStorageModeParity:
         b = self._run(True)
         for x, y in zip(a.incidents, b.incidents):
             assert incident_fingerprint(x) == incident_fingerprint(y)
+
+    def _watchdog_run(self, keep_spans):
+        live = LiveTelemetry(LiveConfig(
+            cadence=1.0, baseline_windows=2, anomaly_min_events=5,
+            anomaly_latency_factor=2.0, incident_cooldown=0.0,
+        ))
+        tracer = RecordingTracer(keep_spans=keep_spans, live=live)
+        for w in range(2):
+            feed_window(tracer, float(w), n=10, latency=0.01)
+        feed_window(tracer, 2.0, n=10, latency=0.08)
+        # The first span of window 3 crosses boundary 3.0, whose
+        # watchdog verdict freezes an anomaly bundle.
+        feed_window(tracer, 3.0, n=10, latency=0.01)
+        tracer.finalize(4.0)
+        return live
+
+    def test_watchdog_bundles_identical_across_modes(self):
+        kept = self._watchdog_run(True)
+        deque_mode = self._watchdog_run(False)
+        assert [b["trigger"]["kind"] for b in kept.incidents] == [ANOMALY]
+        assert len(deque_mode.incidents) == 1
+        bundle = kept.incidents[0]
+        assert bundle["window"]["end"] == 3.0
+        assert bundle["spans"][-1]["time"] < 3.0
+        assert incident_fingerprint(bundle) == incident_fingerprint(
+            deque_mode.incidents[0]
+        )
+
+    def test_watchdog_snapshots_identical_across_modes(self):
+        kept = [s.to_dict() for s in self._watchdog_run(True).snapshots]
+        deq = [s.to_dict() for s in self._watchdog_run(False).snapshots]
+        assert len(kept) == 4
+        assert kept == deq
+
+
+class TestServedWindowsEndAtTheirBoundary:
+    """A served burst under a span-keeping live tracer: the span that
+    crosses a boundary is stored after the flush it causes."""
+
+    LATENCIES = [0.010, 0.022, 0.045]
+
+    def _serve(self, seed):
+        rng = np.random.default_rng(seed)
+        arrivals = np.sort(np.concatenate([
+            rng.uniform(0.0, 10.0, 300),   # calm baseline, 30 q/s
+            rng.uniform(6.0, 7.0, 300),    # a 10x burst
+        ]))
+        n = arrivals.size
+        quality = rng.uniform(0.3, 1.0, size=(16, 8))
+        quality[:, 0] = 0.0
+        workload = ServingWorkload(
+            arrivals=arrivals,
+            deadlines=np.full(n, 0.08),
+            sample_indices=rng.integers(16, size=n),
+            quality=quality,
+        )
+        utilities = np.ones((16, 8))
+        utilities[:, 0] = 0.0
+        policy = BufferedSchedulingPolicy(
+            "schemble", DPScheduler(delta=0.05), utilities
+        )
+        live = LiveTelemetry(LiveConfig(cadence=1.0))
+        tracer = RecordingTracer(live=live)
+        EnsembleServer(self.LATENCIES, policy, tracer=tracer).run(workload)
+        return live, tracer
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bundles_end_at_their_trigger(self, seed):
+        live, _ = self._serve(seed)
+        assert any(b["trigger"]["kind"] == ANOMALY for b in live.incidents)
+        for bundle in live.incidents:
+            assert bundle["spans"][-1]["time"] <= bundle["trigger"]["time"]
+            assert bundle["window"]["end"] == bundle["trigger"]["time"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kept_spans_stay_in_time_order_around_snapshots(self, seed):
+        _, tracer = self._serve(seed)
+        spans = tracer.spans
+        snapshots = [i for i, s in enumerate(spans) if s.kind == SNAPSHOT]
+        assert snapshots
+        for i in snapshots:
+            if i > 0:
+                assert spans[i - 1].time <= spans[i].time
+            if i + 1 < len(spans):
+                assert spans[i].time <= spans[i + 1].time
 
 
 class TestBundleSerialization:
