@@ -14,8 +14,10 @@ Four checks, matching the ISSUE's acceptance criteria:
 * **End-to-end quality** — on the text_matching small preset, a policy
   distilled from a DP-scheduled run's decision log must serve the same
   trace (same seed) within ``MAX_QUALITY_GAP`` accuracy of the all-DP
-  run, while falling back on fewer than ``MAX_FALLBACK_RATE`` of its
-  scheduler invocations.
+  run, while falling back on fewer than ``MAX_FALLBACK_RATE`` of the
+  scheduler invocations offered to the fast path (those the size gate
+  did not hand to the DP; the size-routed and offered counts are
+  recorded beside the rate).
 * **Bit-exact fallback** — the same learned scheduler with
   ``regret_threshold=0`` must reproduce the all-DP run exactly:
   identical per-query records and identical scheduler work units.
@@ -292,6 +294,8 @@ def run_e2e(quick):
         "quality_gap": dp_acc - learned_acc,
         "fallback_rate": gated.fallback_rate,
         "invocations": gated.invocations,
+        "size_routed": gated.size_routed,
+        "offered": gated.invocations - gated.size_routed,
         "fallbacks": gated.fallbacks,
         "threshold0_bit_exact": bool(bit_exact),
         "model_kind": model.kind,
@@ -338,9 +342,10 @@ def main(argv=None):
     gap_limit = MAX_QUALITY_GAP_QUICK if quick else MAX_QUALITY_GAP
     print(f"e2e text_matching/small: dp acc {e2e['dp_accuracy']:.4f}, "
           f"learned acc {e2e['learned_accuracy']:.4f} "
-          f"(gap {e2e['quality_gap']:+.4f}), fallback rate "
-          f"{100 * e2e['fallback_rate']:.1f}% over "
-          f"{e2e['invocations']} invocations, threshold-0 bit-exact: "
+          f"(gap {e2e['quality_gap']:+.4f}), {e2e['size_routed']} of "
+          f"{e2e['invocations']} invocations size-routed to the DP, "
+          f"fallback rate {100 * e2e['fallback_rate']:.1f}% over the "
+          f"{e2e['offered']} offered, threshold-0 bit-exact: "
           f"{e2e['threshold0_bit_exact']}")
     quality_ok = e2e["quality_gap"] <= gap_limit
     if not quality_ok:
@@ -404,7 +409,9 @@ def main(argv=None):
         f"e2e (text_matching/small, {e2e['duration']:g}s trace): "
         f"dp {e2e['dp_accuracy']:.4f} vs learned "
         f"{e2e['learned_accuracy']:.4f} accuracy, "
-        f"{100 * e2e['fallback_rate']:.1f}% DP fallbacks, "
+        f"{e2e['size_routed']} of {e2e['invocations']} calls "
+        f"size-routed, {100 * e2e['fallback_rate']:.1f}% DP fallbacks "
+        f"over the {e2e['offered']} offered, "
         f"threshold-0 bit-exact: {e2e['threshold0_bit_exact']}",
     ]
     TABLE_PATH.write_text("\n".join(lines) + "\n")

@@ -72,8 +72,9 @@ feature rows from the decision log
 regret estimator, and writes a frozen ``PolicyModel`` JSON artifact.
 ``trace``/``fleet`` then accept ``--scheduler learned
 --policy-model ARTIFACT [--regret-threshold T]`` to serve with the
-distilled policy, falling back to the exact DP on instances whose
-predicted regret exceeds the threshold (``--regret-threshold 0``
+distilled policy: buffers small enough for the DP's loop form go
+straight to the exact DP, and larger ones fall back to it when their
+predicted regret reaches the threshold (``--regret-threshold 0``
 reproduces the DP run bit-exactly).
 
 ``trace`` and ``fleet`` take ``--live`` to attach the live telemetry
@@ -808,14 +809,18 @@ def _cmd_trace(args) -> str:
         f"wrote {report_path}",
     ]
     if args.scheduler == "learned":
-        fallbacks = tracer.metrics.counter("sched.fallbacks").value
-        invocations = tracer.metrics.counter("scheduler.invocations").value
-        rate = fallbacks / invocations if invocations else 0.0
+        counter = tracer.metrics.counter
+        size_routed = int(counter("sched.size_routed").value)
+        fallbacks = int(counter("sched.fallbacks").value)
+        fast_served = int(counter("sched.fast_served").value)
+        offered = fallbacks + fast_served
+        rate = fallbacks / offered if offered else 0.0
         footer_lines.append(
-            f"learned scheduler: {int(fallbacks)} DP fallbacks over "
-            f"{int(invocations)} invocations "
-            f"({100 * rate:.1f}% fallback rate, threshold "
-            f"{args.regret_threshold:g})"
+            f"learned scheduler: {size_routed} size-routed to the DP, "
+            f"{fallbacks} DP fallbacks, {fast_served} fast-served over "
+            f"{int(counter('scheduler.invocations').value)} invocations "
+            f"({100 * rate:.1f}% fallback rate over {offered} offered "
+            f"calls, threshold {args.regret_threshold:g})"
         )
     if live is not None:
         footer_lines.extend(

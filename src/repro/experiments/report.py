@@ -215,10 +215,17 @@ REGISTRY: List[ExperimentEntry] = [
         "heads out in `O(buffer x models)` per step and a "
         "predicted-regret gate sends hard instances back to the exact "
         "DP (threshold 0 reproduces the all-DP run bit-exactly, "
-        "verified every bench run). On the text-matching task the "
-        "distilled policy serves the same trace within 1% accuracy of "
-        "all-DP while a buffer-64 x 6-model step drops from seconds to "
-        "milliseconds (>=10x gated, orders of magnitude measured). "
+        "verified every bench run). A size gate in front of the "
+        "rollout hands every buffer the DP serves in its loop form "
+        "(`n_queries * 2**n_models <= 48`: up to six queries on three "
+        "models, none on six) straight to the exact DP, which is "
+        "cheaper there. On the text-matching task's default-load trace "
+        "that is every call, so the learned run serves exactly what "
+        "all-DP serves, and its fallback rate, measured over the calls "
+        "offered to the fast path, has no calls to measure; at six "
+        "models the gate never fires, and a buffer-64 x 6-model step "
+        "drops from seconds to milliseconds (>=10x gated, orders of "
+        "magnitude measured). "
         "Re-run with `PYTHONPATH=src python "
         "benchmarks/bench_policy_distill.py` (`--quick` for the CI "
         "smoke); regression-gated vs the committed `BENCH_policy.json` "

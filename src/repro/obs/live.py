@@ -389,11 +389,6 @@ class FlightRecorder:
         """Back the ring by the tracer's own (growing) span list."""
         self._span_list = spans
 
-    def __len__(self) -> int:
-        if self._span_list is not None:
-            return len(self.spans())
-        return len(self._ring)
-
     def spans(self) -> List[Span]:
         """The retained window as :class:`Span` objects (oldest first)."""
         if self._span_list is not None:

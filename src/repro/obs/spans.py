@@ -78,10 +78,10 @@ ADMISSION_CHANGE = "admission_change"  # controller tightened or relaxed the
 
 # --- learned scheduler (repro.scheduling.policy_fast) --------------------
 SCHED_FALLBACK = "sched_fallback"  # one learned-scheduler invocation's
-                               # regret-gate verdict (fallback bool +
-                               # predicted_regret attrs); emitted per
-                               # schedule() call only when the policy's
-                               # scheduler is a LearnedScheduler
+                               # gate verdict (size_routed and fallback
+                               # bools + predicted_regret attrs); emitted
+                               # per schedule() call only when the
+                               # policy's scheduler is a LearnedScheduler
 
 # --- profiling (repro.obs.profile) ---------------------------------------
 SCHED_PHASE = "sched_phase"    # real wall-clock of one internal scheduler

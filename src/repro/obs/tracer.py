@@ -245,10 +245,13 @@ class RecordingTracer(Tracer):
             metrics.counter("queries.degraded").inc()
         elif kind == SCHED_FALLBACK:
             # Learned fast-path scheduler: one span per invocation,
-            # split into DP fallbacks vs fast-path-served plans so the
-            # fallback rate is a first-class metric
-            # (sched.fallbacks / scheduler.invocations).
-            if attrs.get("fallback", False):
+            # split into size-routed calls, DP fallbacks and
+            # fast-path-served plans, so the fallback rate over the
+            # calls offered to the fast path is a first-class metric
+            # (sched.fallbacks / (sched.fallbacks + sched.fast_served)).
+            if attrs.get("size_routed", False):
+                metrics.counter("sched.size_routed").inc()
+            elif attrs.get("fallback", False):
                 metrics.counter("sched.fallbacks").inc()
             else:
                 metrics.counter("sched.fast_served").inc()

@@ -101,6 +101,15 @@ _EPS = 1e-12
 LOOP_FORM_MAX_SIZE = 48
 
 
+def in_loop_form(instance: SchedulingInstance) -> bool:
+    """Whether :meth:`DPScheduler.schedule` serves ``instance`` in the
+    loop form: ``n_queries * 2**n_models <= LOOP_FORM_MAX_SIZE``.
+
+    The learned scheduler reads the same decision to hand these
+    instances to the DP before featurizing them."""
+    return instance.n_queries << instance.n_models <= LOOP_FORM_MAX_SIZE
+
+
 def _left_to_right_sum(matrix: np.ndarray) -> np.ndarray:
     """Row sums accumulated column-by-column, matching Python's built-in
     ``sum(tuple)`` rounding so canonical-order ties resolve identically
@@ -528,7 +537,7 @@ class DPScheduler:
         """Solve the local subproblem; decisions come back in EDF order.
 
         The form is chosen from the instance's size alone."""
-        if instance.n_queries << instance.n_models <= LOOP_FORM_MAX_SIZE:
+        if in_loop_form(instance):
             return self._solve(instance, _loop_form)
         return self._solve(instance, _kernel_form)
 

@@ -1,5 +1,6 @@
 """Learned fast-path scheduler: an O(buffer * models) policy distilled
-from the DP oracle, with a predicted-regret DP fallback.
+from the DP oracle, behind a size gate and a predicted-regret DP
+fallback.
 
 :class:`LearnedScheduler` serves the same ``schedule(instance)``
 contract as the DP, but replaces the exponential table build with one
@@ -10,6 +11,13 @@ least-confident member until the deadline is met), and commits. Cost is
 ``O(n * m)`` model evaluations plus ``O(m)`` repair steps per query —
 no ``2**m`` table, so step time at buffer >= 64 with 6 models drops
 from tens of seconds to milliseconds (``BENCH_policy.json``).
+
+The rollout only pays off on instances the DP finds expensive. The
+**size gate** hands every instance the DP serves in its loop form
+(:func:`repro.scheduling.dp.in_loop_form`: ``n_queries * 2**n_models
+<= LOOP_FORM_MAX_SIZE``, up to six queries on three models) to the
+exact DP before any featurizing, and returns the DP's result verbatim;
+there the DP is faster than the rollout and exact.
 
 Quality is insured by the **predicted-regret gate**: the artifact also
 carries a regressor trained on ``oracle - policy`` utility gaps; when
@@ -45,7 +53,7 @@ from repro.scheduling.distill import (
     query_features,
     regret_features,
 )
-from repro.scheduling.dp import DPScheduler
+from repro.scheduling.dp import DPScheduler, in_loop_form
 from repro.scheduling.orders import edf_order
 from repro.scheduling.problem import (
     ScheduleDecision,
@@ -314,20 +322,33 @@ class LearnedScheduler:
             utilities, summed over the buffer) at which a plan is
             discarded for the exact DP. ``<= 0`` disables the fast path
             entirely: every call is exact DP and returns the fallback's
-            result verbatim. ``inf`` disables the gate (pure policy,
-            structural fallbacks only).
+            result verbatim. ``inf`` disables the regret gate only: the
+            size gate and the structural fallback still hand instances
+            to the DP.
         fallback: The exact scheduler to fall back to (default: a
             :class:`~repro.scheduling.dp.DPScheduler` with its default
             quantisation) — use the same δ as the all-DP baseline for
             threshold-0 bit-exactness.
 
-    Counters (read by the server's ``sched_fallback`` span and the CI
-    smoke): ``invocations``, ``fallbacks``, ``last_used_fallback``,
-    ``last_predicted_regret``. The explain/profile hooks
-    (``collect_stats`` / ``profile`` / ``last_stats`` /
-    ``last_phase_wall``) delegate to the fallback DP, so explained or
-    profiled runs keep working — fast-path invocations simply expose no
-    DP frontier stats.
+    Each call is served one of three ways, counted apart:
+
+    * ``size_routed`` — the size gate handed the instance to the DP
+      before featurizing (returns the DP's result verbatim);
+    * ``fallbacks`` — the instance was offered to the fast path and the
+      DP served it: threshold ``<= 0``, a model-count mismatch, or the
+      regret gate fired;
+    * the rest — the rollout's plan was served.
+
+    ``invocations`` counts every call, and :attr:`fallback_rate` is
+    ``fallbacks`` over the calls offered to the fast path
+    (``invocations - size_routed``). ``last_size_routed``,
+    ``last_used_fallback`` and ``last_predicted_regret`` describe the
+    last call; the server's ``sched_fallback`` span reads them. The
+    explain/profile hooks (``collect_stats`` / ``profile`` /
+    ``last_stats`` / ``last_phase_wall``) delegate to the fallback DP,
+    so explained or profiled runs keep working: after any call the DP
+    served they expose the DP's numbers, and after a fast-path serve
+    they are ``None``.
     """
 
     name = "learned"
@@ -346,7 +367,9 @@ class LearnedScheduler:
         self.regret_threshold = float(regret_threshold)
         self.fallback = fallback if fallback is not None else DPScheduler()
         self.invocations = 0
+        self.size_routed = 0
         self.fallbacks = 0
+        self.last_size_routed = False
         self.last_used_fallback = False
         self.last_predicted_regret = 0.0
 
@@ -370,22 +393,26 @@ class LearnedScheduler:
 
     @property
     def last_stats(self):
-        """DP frontier stats when the last call fell back, else None."""
-        return self.fallback.last_stats if self.last_used_fallback else None
+        """DP frontier stats when the DP served the last call, else
+        None."""
+        if self.last_used_fallback or self.last_size_routed:
+            return self.fallback.last_stats
+        return None
 
     @property
     def last_phase_wall(self):
-        return (
-            self.fallback.last_phase_wall
-            if self.last_used_fallback else None
-        )
+        if self.last_used_fallback or self.last_size_routed:
+            return self.fallback.last_phase_wall
+        return None
 
     @property
     def fallback_rate(self) -> float:
-        """Fraction of invocations served by the exact DP."""
-        if self.invocations == 0:
+        """Fraction of the calls offered to the fast path (every call
+        the size gate let through) that the exact DP served."""
+        offered = self.invocations - self.size_routed
+        if offered == 0:
             return 0.0
-        return self.fallbacks / self.invocations
+        return self.fallbacks / offered
 
     def _fall_back(
         self, instance: SchedulingInstance, extra_units: int
@@ -406,8 +433,9 @@ class LearnedScheduler:
         return result
 
     def schedule(self, instance: SchedulingInstance) -> ScheduleResult:
-        """Fast-path plan, or the exact DP when the gate fires."""
+        """Fast-path plan, or the exact DP when a gate fires."""
         self.invocations += 1
+        self.last_size_routed = False
         self.last_used_fallback = False
         self.last_predicted_regret = 0.0
         if (
@@ -415,6 +443,12 @@ class LearnedScheduler:
             or instance.n_models != self.model.n_models
         ):
             return self._fall_back(instance, extra_units=0)
+        if in_loop_form(instance):
+            # The DP's loop form is faster than the rollout here, and
+            # exact: its result is served verbatim.
+            self.size_routed += 1
+            self.last_size_routed = True
+            return self.fallback.schedule(instance)
         decisions, total, units = rollout_plan(self.model, instance)
         estimate = self.model.predict_regret(
             regret_features(instance, total)

@@ -1041,9 +1041,11 @@ class ServingSession:
         gated = self._gated_sched
         if gated is not None and self._trace:
             # One verdict span per learned-scheduler invocation: did
-            # the regret gate hand this buffer to the exact DP?
+            # the size gate or the regret gate hand this buffer to the
+            # exact DP?
             self._tracer.emit(
                 sp.SCHED_FALLBACK, now,
+                size_routed=bool(gated.last_size_routed),
                 fallback=bool(gated.last_used_fallback),
                 predicted_regret=float(gated.last_predicted_regret),
             )

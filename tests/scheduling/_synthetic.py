@@ -2,10 +2,10 @@
 
 ``random_instance`` draws the paper-shaped instances of the DP tests:
 one to three models with the text-matching ensemble's latency spread
-and monotone utilities. The rest is a fixed 3-model deployment whose
-utility rows derive deterministically from a per-query difficulty
-score — the property the real pipeline has and distillation relies on
-to reconstruct logged instances exactly.
+and monotone utilities. The rest is a fixed deployment of up to four
+models (three by default) whose utility rows derive deterministically
+from a per-query difficulty score — the property the real pipeline has
+and distillation relies on to reconstruct logged instances exactly.
 Not collected by pytest (no ``test_`` prefix).
 """
 
@@ -15,8 +15,10 @@ from repro.obs.explain import DecisionLog, DecisionRecord
 from repro.scheduling.dp import DPScheduler
 from repro.scheduling.problem import QueryRequest, SchedulingInstance
 
-LATENCIES3 = np.array([0.02, 0.05, 0.09])
-QUALITY3 = np.array([0.5, 0.65, 0.8])
+LATENCIES = np.array([0.02, 0.05, 0.09, 0.14])
+QUALITY = np.array([0.5, 0.65, 0.8, 0.88])
+LATENCIES3 = LATENCIES[:3]
+QUALITY3 = QUALITY[:3]
 
 
 def monotone_utilities(rng, m):
@@ -49,16 +51,17 @@ def random_instance(n, m, seed, horizon=(0.1, 0.3)):
     return SchedulingInstance(queries, latencies, busy, now=0.0)
 
 
-def synthetic_utilities(scores):
-    """Deterministic ``scores -> (n, 8)`` utility rows: a mask's reward
-    is its members' combined coverage scaled by difficulty, rounded to
-    two decimals so quantised ties occur."""
+def synthetic_utilities(scores, n_models=3):
+    """Deterministic ``scores -> (n, 2**n_models)`` utility rows: a
+    mask's reward is its members' combined coverage scaled by
+    difficulty, rounded to two decimals so quantised ties occur."""
     scores = np.asarray(scores, dtype=float)
     member = (
-        (np.arange(8)[:, None] >> np.arange(3)[None, :]) & 1
+        (np.arange(1 << n_models)[:, None]
+         >> np.arange(n_models)[None, :]) & 1
     ).astype(bool)
     coverage = 1.0 - np.prod(
-        np.where(member, 1.0 - QUALITY3[None, :], 1.0), axis=1
+        np.where(member, 1.0 - QUALITY[None, :n_models], 1.0), axis=1
     )
     rows = np.round(coverage[None, :] * (0.4 + 0.6 * scores[:, None]), 2)
     rows[:, 0] = 0.0
@@ -66,9 +69,9 @@ def synthetic_utilities(scores):
 
 
 def synthetic_instance(rng, n_queries, now=0.0, first_qid=0,
-                       downed_model=None):
-    """One random 3-model instance with score-derived utility rows."""
-    busy = rng.uniform(0.0, 0.05, size=3)
+                       downed_model=None, n_models=3):
+    """One random instance with score-derived utility rows."""
+    busy = rng.uniform(0.0, 0.05, size=n_models)
     if downed_model is not None:
         busy[downed_model] = np.inf
     queries = []
@@ -78,15 +81,16 @@ def synthetic_instance(rng, n_queries, now=0.0, first_qid=0,
             query_id=first_qid + j,
             arrival=now,
             deadline=now + float(rng.uniform(0.08, 0.6)),
-            utilities=synthetic_utilities([score])[0],
+            utilities=synthetic_utilities([score], n_models)[0],
             score=score,
         ))
     return SchedulingInstance(
-        queries=queries, latencies=LATENCIES3, busy_until=busy, now=now,
+        queries=queries, latencies=LATENCIES[:n_models], busy_until=busy,
+        now=now,
     )
 
 
-def synthetic_log(n_rounds=12, seed=0):
+def synthetic_log(n_rounds=12, seed=0, n_models=3):
     """A DecisionLog of DP-solved synthetic rounds, one round per
     instance — the oracle data an all-DP serving run would log."""
     rng = np.random.default_rng(seed)
@@ -96,7 +100,9 @@ def synthetic_log(n_rounds=12, seed=0):
     for i in range(n_rounds):
         now = 5.0 * (i + 1)
         n = int(rng.integers(3, 7))
-        instance = synthetic_instance(rng, n, now=now, first_qid=qid)
+        instance = synthetic_instance(
+            rng, n, now=now, first_qid=qid, n_models=n_models
+        )
         qid += n
         by_id = {q.query_id: q for q in instance.queries}
         for decision in dp.schedule(instance).decisions:

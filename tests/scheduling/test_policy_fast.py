@@ -1,25 +1,43 @@
-"""Learned fast-path scheduler: bit-exact fallback, feasible rollouts,
-artifact round-trip."""
+"""Learned fast-path scheduler: bit-exact fallback, the size gate,
+feasible rollouts, artifact round-trip."""
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import RunSpec, run_spec
+from repro.experiments.runner import (
+    RunSpec,
+    make_workload,
+    run_policy,
+    run_spec,
+)
+from repro.experiments.trace_segments import make_day_trace
 from repro.obs.explain import DecisionLog
+from repro.obs.tracer import RecordingTracer
+from repro.scheduling import policy_fast
 from repro.scheduling.distill import REGRET_FEATURE_NAMES, distill_policy
-from repro.scheduling.dp import DPScheduler
-from repro.scheduling.policy_fast import LearnedScheduler, PolicyModel
+from repro.scheduling.dp import LOOP_FORM_MAX_SIZE, DPScheduler
+from repro.scheduling.policy_fast import (
+    LearnedScheduler,
+    PolicyModel,
+    rollout_plan,
+)
 from repro.scheduling.problem import evaluate_schedule
 from repro.scheduling.subsets import mask_contains
 
 from tests.scheduling._synthetic import (
+    LATENCIES,
     synthetic_instance,
     synthetic_log,
     synthetic_utilities,
 )
+
+#: Fewest queries a 3-model instance needs to pass the size gate and
+#: reach the rollout (``n << 3 > LOOP_FORM_MAX_SIZE``).
+ABOVE_GATE = (LOOP_FORM_MAX_SIZE >> 3) + 1
 
 #: The frozen text_matching policy ``bench_policy_distill.py`` distils
 #: (``perfbench/`` serves a sha256-pinned copy of it).
@@ -73,15 +91,18 @@ class TestThresholdZeroIsExactDP:
 
 class TestFastPathRollouts:
     def test_plans_are_feasible_and_accounted(self, model3):
-        # threshold=inf disables the gate: every plan comes from the
-        # learned rollout, whose utility must match the consistent-order
+        # threshold=inf disables the regret gate and every instance
+        # sits above the size gate: every plan comes from the learned
+        # rollout, whose utility must match the consistent-order
         # evaluator exactly (the repair loop guarantees feasibility).
         scheduler = LearnedScheduler(
             model3, regret_threshold=float("inf")
         )
         rng = np.random.default_rng(7)
         for _ in range(8):
-            instance = synthetic_instance(rng, int(rng.integers(2, 7)))
+            instance = synthetic_instance(
+                rng, int(rng.integers(ABOVE_GATE, ABOVE_GATE + 6))
+            )
             result = scheduler.schedule(instance)
             assert not scheduler.last_used_fallback
             assert result.total_utility == pytest.approx(
@@ -96,7 +117,9 @@ class TestFastPathRollouts:
         )
         rng = np.random.default_rng(23)
         for _ in range(6):
-            instance = synthetic_instance(rng, 5, downed_model=2)
+            instance = synthetic_instance(
+                rng, ABOVE_GATE + 1, downed_model=2
+            )
             result = scheduler.schedule(instance)
             assert all(
                 not mask_contains(d.mask, 2)
@@ -131,9 +154,141 @@ class TestFastPathRollouts:
     def test_gate_reports_predicted_regret(self, model3):
         scheduler = LearnedScheduler(model3, regret_threshold=0.5)
         rng = np.random.default_rng(3)
-        scheduler.schedule(synthetic_instance(rng, 4))
+        scheduler.schedule(synthetic_instance(rng, ABOVE_GATE + 1))
         assert scheduler.last_predicted_regret >= 0.0
         assert scheduler.invocations == 1
+
+
+def _rollout_forbidden(*args, **kwargs):
+    raise AssertionError("rollout_plan ran below the size gate")
+
+
+@pytest.fixture(scope="module")
+def gate_models():
+    """One distilled policy per ensemble size the size-gate sweep uses
+    (GBDT only: the gate runs before the bit heads are read)."""
+    return {
+        m: distill_policy(
+            synthetic_log(n_rounds=12, seed=0, n_models=m),
+            LATENCIES[:m],
+            partial(synthetic_utilities, n_models=m),
+            model="gbdt",
+            seed=0,
+        )
+        for m in (2, 3, 4)
+    }
+
+
+class TestSizeGate:
+    """Every instance the DP serves in its loop form goes to the DP
+    before featurizing; larger ones reach the rollout."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_gate_matches_the_dp_loop_form_bound(
+        self, m, gate_models, monkeypatch
+    ):
+        bound = LOOP_FORM_MAX_SIZE >> m
+        rng = np.random.default_rng(m)
+        for n in range(1, bound + 4):
+            instance = synthetic_instance(rng, n, n_models=m)
+            scheduler = LearnedScheduler(
+                gate_models[m], regret_threshold=float("inf"),
+                fallback=DPScheduler(delta=0.05),
+            )
+            scheduler.collect_stats = True
+            if n <= bound:
+                monkeypatch.setattr(
+                    policy_fast, "rollout_plan", _rollout_forbidden
+                )
+                dp = DPScheduler(delta=0.05)
+                dp.collect_stats = True
+                assert_identical(
+                    scheduler.schedule(instance), dp.schedule(instance)
+                )
+                assert (scheduler.invocations, scheduler.size_routed,
+                        scheduler.fallbacks) == (1, 1, 0)
+                assert scheduler.last_size_routed
+                assert not scheduler.last_used_fallback
+                assert scheduler.last_stats == dp.last_stats
+                assert scheduler.fallback_rate == 0.0
+            else:
+                sizes = []
+
+                def counted(model, instance, _rollout=rollout_plan):
+                    sizes.append(instance.n_queries)
+                    return _rollout(model, instance)
+
+                monkeypatch.setattr(policy_fast, "rollout_plan", counted)
+                scheduler.schedule(instance)
+                assert sizes == [n]
+                assert scheduler.size_routed == 0
+                assert not scheduler.last_size_routed
+                assert scheduler.last_stats is None
+
+    def test_light_load_run_is_all_dp(self, tm_setup):
+        # At the default load no buffer passes six queries on three
+        # models, so a learned run serves exactly what an all-DP run
+        # serves.
+        trace = make_day_trace(tm_setup, duration=8.0, seed=5)
+        workload = make_workload(
+            tm_setup, trace, deadline=min(tm_setup.deadline_grid), seed=6
+        )
+        policy = tm_setup.policies()["schemble"]
+        delta = tm_setup.schemble.delta
+        learned = LearnedScheduler(
+            PolicyModel.load(ARTIFACT), regret_threshold=0.5,
+            fallback=DPScheduler(delta=delta),
+        )
+        runs = [
+            run_policy(
+                tm_setup, policy.with_scheduler(scheduler), workload,
+                policy_name="schemble",
+            )
+            for scheduler in (learned, DPScheduler(delta=delta))
+        ]
+        assert learned.invocations > 0
+        assert learned.size_routed == learned.invocations
+        assert runs[0].records == runs[1].records
+        assert runs[0].scheduler_work_units == runs[1].scheduler_work_units
+
+    def test_traced_counters_partition_invocations(self, tm_setup):
+        # An overloaded burst at a tight regret threshold: some buffers
+        # pass the gate, and of those some fall back.
+        capacity = 1.0 / float(tm_setup.latencies.max())
+        trace = make_day_trace(
+            tm_setup, duration=8.0, base_rate=3 * 2.5 * capacity / 24.0,
+            seed=5,
+        )
+        workload = make_workload(
+            tm_setup, trace, deadline=min(tm_setup.deadline_grid), seed=6
+        )
+        learned = LearnedScheduler(
+            PolicyModel.load(ARTIFACT), regret_threshold=0.03,
+            fallback=DPScheduler(delta=tm_setup.schemble.delta),
+        )
+        tracer = RecordingTracer()
+        run_policy(
+            tm_setup,
+            tm_setup.policies()["schemble"].with_scheduler(learned),
+            workload, policy_name="schemble", tracer=tracer,
+        )
+        counter = tracer.metrics.counter
+        traced = [
+            int(counter(name).value)
+            for name in ("sched.size_routed", "sched.fallbacks",
+                         "sched.fast_served")
+        ]
+        invocations = learned.invocations
+        assert sum(traced) == counter("scheduler.invocations").value
+        assert traced == [
+            learned.size_routed,
+            learned.fallbacks,
+            invocations - learned.size_routed - learned.fallbacks,
+        ]
+        assert all(count > 0 for count in traced)
+        assert learned.fallback_rate == (
+            learned.fallbacks / (invocations - learned.size_routed)
+        )
 
 
 class TestSchedulerSurface:
@@ -143,6 +298,10 @@ class TestSchedulerSurface:
         assert scheduler.fallback.collect_stats
         rng = np.random.default_rng(5)
         scheduler.schedule(synthetic_instance(rng, 3))
+        assert scheduler.last_size_routed
+        assert scheduler.last_stats is scheduler.fallback.last_stats
+        scheduler.schedule(synthetic_instance(rng, ABOVE_GATE))
+        assert not scheduler.last_size_routed
         # Fast-path serves carry no DP stats — consumers must not see
         # the fallback's stale frontier numbers.
         assert scheduler.last_stats is None
@@ -189,7 +348,7 @@ class TestArtifactRoundTrip:
     def test_loaded_scheduler_matches_original(self, model3, tmp_path):
         loaded = PolicyModel.load(model3.save(tmp_path / "policy.json"))
         rng = np.random.default_rng(13)
-        instance = synthetic_instance(rng, 5)
+        instance = synthetic_instance(rng, ABOVE_GATE)
         a = LearnedScheduler(
             model3, regret_threshold=float("inf")
         ).schedule(instance)

@@ -212,8 +212,9 @@ class TestTracedUntracedIdentity:
 
 class _GatedScheduler:
     """Minimal gated scheduler: the server treats any scheduler with a
-    ``last_used_fallback`` attribute as regret-gated and emits one
-    ``sched_fallback`` span per invocation."""
+    ``last_used_fallback`` attribute as gated and emits one
+    ``sched_fallback`` span per invocation. Every third call is
+    size-routed; of the rest, every second falls back."""
 
     name = "gated"
 
@@ -221,12 +222,17 @@ class _GatedScheduler:
         self.inner = inner
         self.fallback_every = fallback_every
         self.calls = 0
+        self.last_size_routed = False
         self.last_used_fallback = False
         self.last_predicted_regret = 0.0
 
     def schedule(self, instance):
         self.calls += 1
-        self.last_used_fallback = self.calls % self.fallback_every == 0
+        self.last_size_routed = self.calls % 3 == 0
+        self.last_used_fallback = (
+            not self.last_size_routed
+            and self.calls % self.fallback_every == 0
+        )
         self.last_predicted_regret = (
             0.25 if self.last_used_fallback else 0.0
         )
@@ -249,16 +255,23 @@ class TestSchedFallbackSpan:
         schedules = sp.spans_of_kind(tracer.spans, sp.SCHEDULE)
         gates = sp.spans_of_kind(tracer.spans, sp.SCHED_FALLBACK)
         assert len(gates) == len(schedules) > 0
-        assert all("predicted_regret" in s.attrs for s in gates)
+        assert all(
+            {"size_routed", "fallback", "predicted_regret"} <= set(s.attrs)
+            for s in gates
+        )
 
     def test_counters_split_fallbacks_from_fast_serves(self):
         tracer = self.run_gated()
         gates = sp.spans_of_kind(tracer.spans, sp.SCHED_FALLBACK)
+        routed = sum(1 for s in gates if s.attrs["size_routed"])
         fallbacks = sum(1 for s in gates if s.attrs["fallback"])
-        assert tracer.metrics.counter("sched.fallbacks").value == fallbacks
+        assert routed > 0 and fallbacks > 0
+        counter = tracer.metrics.counter
+        assert counter("sched.size_routed").value == routed
+        assert counter("sched.fallbacks").value == fallbacks
         assert (
-            tracer.metrics.counter("sched.fast_served").value
-            == len(gates) - fallbacks
+            counter("sched.fast_served").value
+            == len(gates) - routed - fallbacks > 0
         )
 
     def test_absent_for_ungated_scheduler(self):

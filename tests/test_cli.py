@@ -404,7 +404,8 @@ class TestDistillCommand:
             "--out", str(tmp_path / "traces"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "fallback rate" in out
+        assert "size-routed" in out
+        assert "fallback rate over" in out
 
     def test_distill_from_existing_decisions(self, capsys, tm_setup,
                                              tmp_path):
