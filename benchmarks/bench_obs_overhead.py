@@ -45,6 +45,7 @@ Three checks on a diurnal-trace workload:
 Results go to ``benchmarks/results/BENCH_obs.json``.
 """
 
+import gc
 import json
 import subprocess
 import sys
@@ -235,15 +236,21 @@ def time_variants(runs, repeats=REPEATS):
     block they land on; the starting variant rotates each round so no
     variant is pinned to one position (e.g. always last, right after
     the allocation-heaviest run). Min-of-N is the noise-robust
-    statistic."""
+    statistic.
+
+    Each run returns what it built, and that is freed only after its
+    clock stops, with a full collection, so no variant's time includes
+    freeing its own spans or collecting another variant's cycles."""
     samples = {name: [] for name in runs}
     names = list(runs)
     for round_idx in range(repeats):
         offset = round_idx % len(names)
         for name in names[offset:] + names[:offset]:
             start = time.perf_counter()
-            runs[name]()
+            built = runs[name]()
             samples[name].append(time.perf_counter() - start)
+            del built
+            gc.collect()
     return {name: min(times) for name, times in samples.items()}, samples
 
 
@@ -257,15 +264,16 @@ def check_overhead(quick=False):
     BaselineServer = load_baseline_server()
 
     def run_baseline():
-        return BaselineServer(LATENCIES, policy).run(workload)
+        server = BaselineServer(LATENCIES, policy)
+        return server.run(workload), server
 
     def run_server(tracer=None):
         server = EnsembleServer(LATENCIES, policy, tracer=tracer)
-        return server.run(workload)
+        return server.run(workload), server
 
     # Validate the baseline before timing it: identical records mean
     # the two loops do identical work.
-    assert run_server().records == run_baseline().records
+    assert run_server()[0].records == run_baseline()[0].records
 
     best, samples = time_variants({
         "baseline": run_baseline,

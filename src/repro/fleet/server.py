@@ -68,6 +68,7 @@ from repro.serving.policies import ServingPolicy
 from repro.serving.records import QueryRecord, ServingResult
 from repro.serving.server import EnsembleServer, WorkerSpec
 from repro.serving.workload import ServingWorkload
+from repro.utils.validation import check_latencies
 
 
 @dataclass
@@ -164,9 +165,7 @@ class FleetServer:
                 f"config must be a FleetConfig, got "
                 f"{type(self.config).__name__}"
             )
-        self.latencies = np.asarray(latencies, dtype=float)
-        if self.latencies.ndim != 1 or np.any(self.latencies <= 0):
-            raise ValueError("latencies must be a 1-d array of positives")
+        self.latencies = check_latencies(latencies)
         self.policy = policy
         if policies is not None:
             if len(policies) != self.config.n_shards:

@@ -4,17 +4,32 @@ Processes queries in a chosen order (EDF/FIFO/SJF) and, for each query,
 picks the feasible subset with the highest reward — ignoring the queries
 still behind it, which is exactly the myopia the DP algorithm fixes.
 
-The per-query subset search is vectorized over the whole mask grid using
-the instance's shared membership/increment tables, and the selection is
-fully deterministic: highest reward, then earliest completion, then
-lowest mask. (The loop form's tie-break depended on mask enumeration
-order when an equal-reward, equal-completion subset appeared later —
-the plan could differ between otherwise identical runs of the search.)
+The selection is fully deterministic: highest reward within ``_EPS``
+of the best, then earliest completion within ``_EPS`` of the fastest
+such subset, then lowest mask. A mask's completion is the latest of
+``times[k] + latencies[k]`` over its members ``k``, the same float sums
+the DP's loop form adds.
+
+The search is one plain-Python loop over the masks. It once had a numpy
+form vectorised over the mask grid, which is now the oracle of
+``tests/scheduling/test_greedy.py``: the two agree on decisions, total
+utility and work units. The numpy form is faster only from about seven
+models on, and no caller runs Greedy on more than three (the fleet and
+the Exp-4 ablation), so the loop form is the only one. Microseconds
+per call, numpy / loop, five instances per point, fastest of seven
+timings (2-vCPU x86-64 host, CPython 3.11):
+
+======  =========  ==========  ===========
+models  1 query    8 queries   32 queries
+======  =========  ==========  ===========
+3       35 / 10    240 / 45    981 / 155
+5       41 / 25    276 / 131   1001 / 483
+6       45 / 43    309 / 262   1074 / 824
+7       50 / 81    360 / 492   1439 / 1950
+======  =========  ==========  ===========
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.scheduling.orders import ORDERS
 from repro.scheduling.problem import (
@@ -43,47 +58,52 @@ class GreedyScheduler:
 
     def schedule(self, instance: SchedulingInstance) -> ScheduleResult:
         """Pick the highest-reward feasible subset per query in order."""
-        if instance.n_queries == 0:
-            return ScheduleResult(decisions=[], total_utility=0.0, work_units=0)
-
-        order = ORDERS[self.order](instance.queries)
-        queries = [instance.queries[i] for i in order]
-        n_masks = 1 << instance.n_models
-        membership = instance.mask_membership  # (n_masks, m) bool
-        increments = instance.mask_increments  # (n_masks, m) float
-        masks = np.arange(n_masks)
-        times = instance.busy_until.astype(float, copy=True)
+        queries = instance.queries
+        members = instance.masks.members
+        n_masks = len(members)
+        # Python floats hold the numpy values' bits.
+        latencies = instance.latencies.tolist()
+        times = instance.busy_until.tolist()
+        now = instance.now
 
         decisions = []
         total = 0.0
-        # Unified accounting: one unit per non-empty subset evaluated.
-        work_units = instance.n_queries * (n_masks - 1)
-        for query in queries:
-            relative_deadline = query.deadline - instance.now
-            completion = np.where(
-                membership, times[None, :] + increments, -np.inf
-            ).max(axis=1)  # (n_masks,); mask 0 -> -inf
-            rewards = query.utilities
-            eligible = (
-                (masks > 0)
-                & (completion <= relative_deadline + _EPS)
-                & (rewards > _EPS)
-            )
+        for i in ORDERS[self.order](queries):
+            query = queries[i]
+            limit = query.deadline - now + _EPS
+            rewards = query.utilities.tolist()
+            finish = [t + latency for t, latency in zip(times, latencies)]
+            eligible = []
+            top = 0.0
+            for mask in range(1, n_masks):
+                reward = rewards[mask]
+                if not reward > _EPS:
+                    continue
+                completion = 0.0
+                for k in members[mask]:
+                    if finish[k] > completion:
+                        completion = finish[k]
+                if completion <= limit:
+                    eligible.append((mask, reward, completion))
+                    if reward > top:
+                        top = reward
             best_mask = 0
-            if np.any(eligible):
-                # Deterministic tie-break: reward (within eps), then
-                # completion (within eps), then lowest mask.
-                contenders = rewards >= rewards[eligible].max() - _EPS
-                contenders &= eligible
-                fastest = completion[contenders].min()
-                contenders &= completion <= fastest + _EPS
-                best_mask = int(masks[contenders][0])
-            if best_mask:
-                times = times + increments[best_mask]
-                total += float(rewards[best_mask])
+            if eligible:
+                floor = top - _EPS
+                cutoff = min(c for _, r, c in eligible if r >= floor) + _EPS
+                for mask, reward, completion in eligible:
+                    if reward >= floor and completion <= cutoff:
+                        best_mask = mask
+                        break
+                for k in members[best_mask]:
+                    times[k] = finish[k]
+                total += rewards[best_mask]
             decisions.append(
                 ScheduleDecision(query_id=query.query_id, mask=best_mask)
             )
+        # Unified accounting: one unit per non-empty subset evaluated.
         return ScheduleResult(
-            decisions=decisions, total_utility=total, work_units=work_units
+            decisions=decisions,
+            total_utility=total,
+            work_units=len(queries) * (n_masks - 1),
         )

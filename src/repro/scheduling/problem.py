@@ -53,6 +53,15 @@ class QueryRequest:
         if abs(float(self.utilities[0])) > 1e-9:
             raise ValueError("utility of the empty subset must be 0")
 
+    def check_width(self, n_masks: int) -> None:
+        """Raise unless the utility row has one entry per subset mask."""
+        width = self.utilities.shape[0]
+        if width != n_masks:
+            raise ValueError(
+                f"query {self.query_id} has {width} utilities, "
+                f"expected {n_masks}"
+            )
+
     def quantised_utilities(self, step: float) -> np.ndarray:
         """``floor(utilities / step)`` memoised per step.
 
@@ -130,11 +139,19 @@ class SchedulingInstance:
         busy_until: Per-model remaining execution time ``t_k^(0)``
             measured from ``now`` (0 for idle models). Under fault
             injection this is an *estimate* that may shrink between
-            invocations (a crash revokes commitments) or be ``inf``
-            (every worker for the model is down/undeployed) — schedulers
-            must treat an ``inf`` entry as "no feasible subset uses this
-            model", never as an error.
+            invocations (a crash revokes commitments; a crashed worker
+            counts as busy until it recovers). It is ``inf`` for a
+            model no deployed worker serves — schedulers must treat an
+            ``inf`` entry as "no feasible subset uses this model",
+            never as an error.
         now: Current absolute time.
+
+    The constructor coerces the arrays and checks every field, so an
+    instance built from outside input is valid or raises. The serving
+    loop builds one instance per scheduling round, most of them for a
+    single query, and there those checks cost as much as the scheduler
+    itself; it calls :meth:`trusted` instead, which only fills the
+    fields. No other caller should.
     """
 
     queries: List[QueryRequest]
@@ -149,6 +166,8 @@ class SchedulingInstance:
             raise ValueError("latencies must be a non-empty 1-d array")
         if np.any(self.latencies <= 0):
             raise ValueError("latencies must be positive")
+        if not np.all(np.isfinite(self.latencies)):
+            raise ValueError("latencies must be finite")
         if self.busy_until.shape != self.latencies.shape:
             raise ValueError(
                 f"busy_until shape {self.busy_until.shape} must match "
@@ -160,12 +179,34 @@ class SchedulingInstance:
             raise ValueError("busy_until entries must be non-negative")
         n_masks = 1 << self.n_models
         for query in self.queries:
-            if query.utilities.shape[0] != n_masks:
-                raise ValueError(
-                    f"query {query.query_id} has {query.utilities.shape[0]} "
-                    f"utilities, expected {n_masks}"
-                )
+            query.check_width(n_masks)
         self._increments: Optional[np.ndarray] = None
+
+    @classmethod
+    def trusted(
+        cls,
+        queries: List[QueryRequest],
+        latencies: np.ndarray,
+        busy_until: np.ndarray,
+        now: float,
+    ) -> "SchedulingInstance":
+        """An instance whose fields are taken as given, unchecked.
+
+        For the serving loop alone, which guarantees what the
+        constructor would check: ``latencies`` is the float array its
+        server validated when it was built; ``busy_until`` is a float
+        array of that shape, clamped at 0, never NaN, ``inf`` for a
+        model no worker serves; every query passed
+        :meth:`QueryRequest.check_width` for ``2**len(latencies)`` masks
+        when its request was built.
+        """
+        instance = cls.__new__(cls)
+        instance.queries = queries
+        instance.latencies = latencies
+        instance.busy_until = busy_until
+        instance.now = now
+        instance._increments = None
+        return instance
 
     @property
     def n_models(self) -> int:

@@ -63,7 +63,7 @@ from repro.serving.config import ServerConfig
 from repro.serving.policies import BufferedSchedulingPolicy, ServingPolicy
 from repro.serving.records import QueryRecord, ServingResult
 from repro.serving.workload import ServingWorkload
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_latencies, check_positive
 
 
 @dataclass
@@ -181,9 +181,7 @@ class EnsembleServer:
     ):
         self.config = config if config is not None else ServerConfig()
         self.explain = explain
-        self.latencies = np.asarray(latencies, dtype=float)
-        if self.latencies.ndim != 1 or np.any(self.latencies <= 0):
-            raise ValueError("latencies must be a 1-d array of positives")
+        self.latencies = check_latencies(latencies)
         self.policy = policy
         if workers is None:
             workers = [
@@ -1009,14 +1007,14 @@ class ServingSession:
                     record.deadline,
                     record.sample_index,
                 )
+                # Checked once per request: the trusted instance below
+                # checks nothing.
+                request.check_width(1 << self._n_models)
                 self._request_cache[qid] = request
             queries.append(request)
         busy_until = self._busy_per_model(now)
-        instance = SchedulingInstance(
-            queries=queries,
-            latencies=self._latencies,
-            busy_until=busy_until,
-            now=now,
+        instance = SchedulingInstance.trusted(
+            queries, self._latencies, busy_until, now
         )
         wall_start = time.perf_counter()
         result = policy.scheduler.schedule(instance)

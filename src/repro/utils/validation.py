@@ -10,14 +10,32 @@ import numpy as np
 
 
 def check_positive(name: str, value: float, allow_zero: bool = False) -> float:
-    """Validate that ``value`` is positive (or non-negative)."""
+    """Validate that ``value`` is positive (or non-negative).
+
+    The tests are negated comparisons, so NaN, which compares false
+    with everything, is refused too."""
     value = float(value)
     if allow_zero:
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    elif value <= 0:
+    elif not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value
+
+
+def check_latencies(latencies) -> np.ndarray:
+    """Validate a per-model inference-time vector and return it as a
+    float array: non-empty, 1-d, every entry finite and positive."""
+    latencies = np.asarray(latencies, dtype=float)
+    if (
+        latencies.ndim != 1
+        or latencies.size == 0
+        or not np.all(np.isfinite(latencies) & (latencies > 0))
+    ):
+        raise ValueError(
+            "latencies must be a non-empty 1-d array of finite positives"
+        )
+    return latencies
 
 
 def check_in_range(

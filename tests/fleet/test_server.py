@@ -84,6 +84,14 @@ class TestBasics:
         with pytest.raises(ValueError, match="models"):
             fleet.run(make_workload(quality, n=10))
 
+    @pytest.mark.parametrize("latencies", [
+        [0.0, 0.05], [0.01, np.nan], [0.01, np.inf], [],
+    ])
+    def test_rejects_bad_latencies(self, latencies):
+        policy, _ = make_policy()
+        with pytest.raises(ValueError, match="finite positives"):
+            FleetServer(latencies, policy)
+
     def test_per_shard_policies_length_checked(self):
         policy, _ = make_policy()
         with pytest.raises(ValueError, match="per shard"):

@@ -6,14 +6,22 @@ and monotone utilities. The rest is a fixed deployment of up to four
 models (three by default) whose utility rows derive deterministically
 from a per-query difficulty score — the property the real pipeline has
 and distillation relies on to reconstruct logged instances exactly.
-Not collected by pytest (no ``test_`` prefix).
+``numpy_greedy`` is the Greedy scheduler's oracle. Not collected by
+pytest (no ``test_`` prefix).
 """
 
 import numpy as np
 
 from repro.obs.explain import DecisionLog, DecisionRecord
 from repro.scheduling.dp import DPScheduler
-from repro.scheduling.problem import QueryRequest, SchedulingInstance
+from repro.scheduling.greedy import _EPS
+from repro.scheduling.orders import ORDERS
+from repro.scheduling.problem import (
+    QueryRequest,
+    ScheduleDecision,
+    ScheduleResult,
+    SchedulingInstance,
+)
 
 LATENCIES = np.array([0.02, 0.05, 0.09, 0.14])
 QUALITY = np.array([0.5, 0.65, 0.8, 0.88])
@@ -120,3 +128,51 @@ def synthetic_log(n_rounds=12, seed=0, n_models=3):
                 busy_until=[float(b) for b in instance.busy_until],
             ))
     return log
+
+
+def numpy_greedy(instance, order="edf"):
+    """``GreedyScheduler(order).schedule(instance)`` vectorised over the
+    mask grid: the form Greedy had before its plain-Python loop, kept
+    as the loop's oracle. Same tie-break: highest reward within
+    ``_EPS``, then earliest completion within ``_EPS``, then lowest
+    mask."""
+    if instance.n_queries == 0:
+        return ScheduleResult(decisions=[], total_utility=0.0, work_units=0)
+
+    queries = [instance.queries[i] for i in ORDERS[order](instance.queries)]
+    n_masks = 1 << instance.n_models
+    membership = instance.mask_membership  # (n_masks, m) bool
+    increments = instance.mask_increments  # (n_masks, m) float
+    masks = np.arange(n_masks)
+    times = instance.busy_until.astype(float, copy=True)
+
+    decisions = []
+    total = 0.0
+    work_units = instance.n_queries * (n_masks - 1)
+    for query in queries:
+        relative_deadline = query.deadline - instance.now
+        completion = np.where(
+            membership, times[None, :] + increments, -np.inf
+        ).max(axis=1)  # (n_masks,); mask 0 -> -inf
+        rewards = query.utilities
+        eligible = (
+            (masks > 0)
+            & (completion <= relative_deadline + _EPS)
+            & (rewards > _EPS)
+        )
+        best_mask = 0
+        if np.any(eligible):
+            contenders = rewards >= rewards[eligible].max() - _EPS
+            contenders &= eligible
+            fastest = completion[contenders].min()
+            contenders &= completion <= fastest + _EPS
+            best_mask = int(masks[contenders][0])
+        if best_mask:
+            times = times + increments[best_mask]
+            total += float(rewards[best_mask])
+        decisions.append(
+            ScheduleDecision(query_id=query.query_id, mask=best_mask)
+        )
+    return ScheduleResult(
+        decisions=decisions, total_utility=total, work_units=work_units
+    )

@@ -1,14 +1,18 @@
-"""Greedy scheduler behaviour."""
+"""Greedy scheduler behaviour, and its agreement with the numpy oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.scheduling.greedy import GreedyScheduler
+from repro.scheduling.greedy import _EPS, GreedyScheduler
+from repro.scheduling.orders import ORDERS
 from repro.scheduling.problem import (
     QueryRequest,
     SchedulingInstance,
     evaluate_schedule,
 )
+from tests.scheduling._synthetic import numpy_greedy
 
 
 class TestGreedyScheduler:
@@ -78,8 +82,7 @@ class TestGreedyScheduler:
         assert fifo.total_utility == pytest.approx(1.0)
 
     def test_full_tie_resolves_to_lowest_mask(self):
-        """Equal reward AND equal completion: the lowest mask wins (the
-        loop form's pick depended on enumeration order here)."""
+        """Equal reward AND equal completion: the lowest mask wins."""
         u = np.array([0.0, 0.7, 0.7, 0.7])
         q = QueryRequest(0, 0.0, 0.07, u)
         inst = SchedulingInstance([q], np.array([0.05, 0.05]), np.zeros(2))
@@ -123,3 +126,57 @@ class TestGreedyScheduler:
     def test_empty_instance(self):
         inst = SchedulingInstance([], np.array([0.1]), np.zeros(1))
         assert GreedyScheduler("edf").schedule(inst).decisions == []
+
+
+@st.composite
+def adversarial_instances(draw):
+    """1-12 queries on 1-6 models where every tie-break step decides:
+    rewards on a 0.1 grid (exact ties) nudged by 0, ε/2, ε or 2ε, some
+    rewards exactly ε (the eligibility edge), latencies equal or a
+    fraction of ε apart (completion ties within ε), downed models
+    (+inf busy time), and tied arrivals and scores for FIFO and SJF."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        latencies = np.full(m, 0.05)
+    else:
+        latencies = rng.choice([0.02, 0.05, 0.09], size=m)
+    latencies = latencies + rng.choice([0.0, 0.5 * _EPS, _EPS], size=m)
+    busy = rng.choice([0.0, 0.01, 0.03], size=m)
+    downed = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    busy[downed] = np.inf
+    n_masks = 1 << m
+    queries = []
+    for qid in range(n):
+        utilities = np.zeros(n_masks)
+        utilities[1:] = np.round(rng.uniform(0.0, 1.0, n_masks - 1), 1)
+        utilities[1:] += rng.choice(
+            [0.0, 0.5 * _EPS, _EPS, 2 * _EPS], size=n_masks - 1
+        )
+        utilities[1:][rng.random(n_masks - 1) < 0.1] = _EPS
+        arrival = float(rng.choice([0.0, 0.01]))
+        queries.append(QueryRequest(
+            query_id=qid,
+            arrival=arrival,
+            deadline=arrival + float(rng.choice([0.03, 0.07, 0.12, 0.3])),
+            utilities=utilities,
+            score=float(rng.choice([0.2, 0.5])),
+        ))
+    return SchedulingInstance(queries, latencies, busy, now=0.0)
+
+
+class TestMatchesNumpyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instance=adversarial_instances(),
+        order=st.sampled_from(sorted(ORDERS)),
+    )
+    def test_agrees_on_adversarial_instances(self, instance, order):
+        loop = GreedyScheduler(order).schedule(instance)
+        oracle = numpy_greedy(instance, order)
+        assert [(d.query_id, d.mask) for d in loop.decisions] == [
+            (d.query_id, d.mask) for d in oracle.decisions
+        ]
+        assert loop.total_utility == oracle.total_utility
+        assert loop.work_units == oracle.work_units

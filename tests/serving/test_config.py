@@ -43,6 +43,9 @@ class TestValidation:
         {"task_timeout": -1.0},
         {"max_retries": -1},
         {"retry_backoff": -0.1},
+        {"overhead_base": np.nan},
+        {"task_timeout": np.nan},
+        {"retry_backoff": np.nan},
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -70,6 +73,9 @@ class TestValidation:
         {"task_timeout": 0.0},
         {"max_retries": -1},
         {"retry_backoff": -0.1},
+        {"overhead_base": np.nan},
+        {"task_timeout": np.nan},
+        {"retry_backoff": np.nan},
     ])
     def test_replace_matches_constructor_errors(self, bad):
         # replace() goes through dataclasses.replace, which re-runs

@@ -189,8 +189,11 @@ class TestServerValidation:
             server.run(workload([0.0], deadline=1.0, m=2))
 
     def test_rejects_bad_latencies(self):
-        with pytest.raises(ValueError):
-            EnsembleServer([0.0], ImmediateMaskPolicy("p", 1))
+        for latencies in (
+            [0.0], [0.01, np.nan, 0.03], [0.01, np.inf, 0.03], [],
+        ):
+            with pytest.raises(ValueError, match="finite positives"):
+                EnsembleServer(latencies, ImmediateMaskPolicy("p", 1))
 
     def test_rejects_unknown_worker_model(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -210,6 +213,8 @@ class TestServerValidation:
             WorkerSpec(-1, 0.1)
         with pytest.raises(ValueError):
             WorkerSpec(0, 0.0)
+        with pytest.raises(ValueError):
+            WorkerSpec(0, np.nan)
 
 
 class TestFastPath:

@@ -24,6 +24,12 @@ class TestCheckPositive:
         with pytest.raises(ValueError, match=">= 0"):
             check_positive("x", -0.1, allow_zero=True)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be > 0"):
+            check_positive("x", float("nan"))
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            check_positive("x", float("nan"), allow_zero=True)
+
 
 class TestCheckInRange:
     def test_inclusive_bounds(self):
