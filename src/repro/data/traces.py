@@ -30,14 +30,21 @@ DIURNAL_PROFILE = np.array(
 
 @dataclass
 class ArrivalTrace:
-    """Arrival times (seconds, sorted ascending) plus trace metadata."""
+    """Arrival times (seconds, sorted ascending) plus trace metadata.
+
+    Sorted input is held as given (no copy); anything else is sorted
+    into a new array.
+    """
 
     arrivals: np.ndarray
     duration: float
     name: str = "trace"
 
     def __post_init__(self):
-        self.arrivals = np.sort(np.asarray(self.arrivals, dtype=float))
+        arrivals = np.asarray(self.arrivals, dtype=float)
+        if arrivals.size > 1 and (arrivals[1:] < arrivals[:-1]).any():
+            arrivals = np.sort(arrivals)
+        self.arrivals = arrivals
         if self.arrivals.size and self.arrivals[0] < 0:
             raise ValueError("arrival times must be non-negative")
         self.duration = check_positive("duration", self.duration)
@@ -66,7 +73,8 @@ def poisson_trace(
     rng = as_rng(seed)
     expected = rate * duration
     count = rng.poisson(expected)
-    arrivals = np.sort(rng.uniform(0.0, duration, size=count))
+    arrivals = rng.uniform(0.0, duration, size=count)
+    arrivals.sort()
     return ArrivalTrace(arrivals=arrivals, duration=duration, name=name)
 
 

@@ -10,6 +10,8 @@ Public surface:
   admission control) over N unmodified ``EnsembleServer`` shards.
 * :mod:`~repro.fleet.routers` — the placement-policy registry
   (``hash``, ``power_of_two``, ``score_aware``).
+
+A traced fleet's telemetry merge lives in :mod:`repro.fleet.telemetry`.
 """
 
 from repro.fleet.config import FleetConfig

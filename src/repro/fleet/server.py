@@ -30,16 +30,26 @@ to each epoch boundary and lets the SLO controller act in between. A
 static fleet is the degenerate case, one epoch that admits every
 arrival, so each shard's ``finish`` is exactly ``EnsembleServer.run``
 over its sub-workload. The SLO monitor is fed from the outcomes the
-shard sessions hand back each epoch, not from spans, so shards record
-spans only when the fleet is traced. After the shards finish, a traced
-fleet merges the per-shard span streams into one fleet-wide stream:
-local query ids are mapped back to global ids, worker ids are offset
-per shard, every span gains a ``shard`` attribute, and the whole merged
-stream is replayed through the fleet's tracer in global order — so
-``profile``/``slo``/``diff`` work on the fleet exactly as on a single
-server, and per shard via the untouched shard results. A live plane on
-the fleet tracer is thereby the fleet's one snapshot stream; the shards
-keep their own planes, which ``top`` polls mid-run.
+shard sessions hand back each epoch, not from spans.
+
+A traced fleet merges telemetry; it does not replay it. Every shard
+runs under its own :class:`RecordingTracer` (keeping spans only when
+the fleet tracer does), which folds the shard's stream, and the fleet
+tracer folds the front end's spans and the control side stream's at
+each stop — an epoch end, or for a static fleet with a live plane
+each snapshot boundary — in global ``(time, stream)`` order, streams
+ordered front end, shards 0..n-1, control. Its watchdog and ``slo``
+monitor read the shards' outcomes in that order. At the end of the run the shard registries merge into the
+fleet's: counters sum, histograms digest-merge, gauge samples
+interleave by time, and per-worker maps take each shard's worker-id
+offset. A live plane on the fleet tracer cuts fleet snapshots at its
+stops as rollups of its own registry and the shards' snapshots, and
+freezes fleet bundles from the shards' recorder rows cut at the
+trigger. When spans are kept, the fleet's span stream is a k-way merge
+of the sources with local query ids mapped back to global ids, worker
+ids offset per shard and a ``shard`` attribute on every shard span —
+so ``profile``/``slo``/``diff`` work on the fleet exactly as on a
+single server, and per shard via ``shard_spans``.
 
 Determinism: the routers are seeded, the fluid model is pure
 arithmetic, and each shard is the deterministic single-server
@@ -50,8 +60,8 @@ assignments and records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +69,7 @@ import numpy as np
 from repro.control.controller import Controller, ControlLog
 from repro.fleet.config import FleetConfig
 from repro.fleet.routers import make_router
+from repro.fleet.telemetry import FleetTelemetry
 from repro.obs import spans as sp
 from repro.obs.live import LiveTelemetry, TelemetrySnapshot
 from repro.obs.slo import SLOMonitor
@@ -79,14 +90,15 @@ class FleetResult:
         merged: Fleet-wide :class:`ServingResult` — records in global
             query order (shed queries appear as rejected records),
             scheduler stats summed over shards, metrics from the
-            fleet's merged span stream.
-        shard_results: The untouched per-shard results (local query
-            ids; index with ``shard_query_ids`` to go global).
+            fleet tracer's registry, which holds every stream merged.
+        shard_results: The per-shard results. Their records are the
+            merged result's own objects, relabelled with global query
+            ids; ``shard_query_ids`` gives each shard's local order.
         shard_query_ids: Global query ids served by each shard, in
             local order.
         shard_spans: Per-shard span lists remapped to global query and
-            worker ids (with a ``shard`` attribute); ``None`` when the
-            fleet ran untraced.
+            worker ids (with a ``shard`` attribute); ``None`` unless
+            the fleet tracer keeps spans.
         assignments: Global-order shard index per query, ``-1`` = shed.
         router: Routing policy name the run used.
         n_shed: Queries refused by admission control.
@@ -98,9 +110,10 @@ class FleetResult:
             sessions hand back; ``None`` for a static fleet.
         shard_snapshots: Per-shard live telemetry snapshot streams
             (``None`` unless the fleet tracer carried a
-            :class:`~repro.obs.live.LiveTelemetry`). The fleet's one
-            snapshot stream is that plane's own ``snapshots``, fed the
-            merged stream in global order.
+            :class:`~repro.obs.live.LiveTelemetry`). The fleet's own
+            snapshot stream is that plane's ``snapshots``: at each
+            boundary, the rollup of the fleet tracer's registry with
+            every shard's snapshot.
     """
 
     merged: ServingResult
@@ -140,10 +153,13 @@ class FleetServer:
         workers: Optional explicit per-shard deployment (the same
             worker list is applied to every shard); defaults to one
             worker per base model per shard.
-        tracer: Fleet-level observability hook; when enabled, each
-            shard runs under its own :class:`RecordingTracer` and the
-            merged, remapped stream is replayed through this tracer.
-            Otherwise the shards run untraced, controlled or not.
+        tracer: Fleet-level :class:`RecordingTracer`; when enabled,
+            each shard runs under its own tracer (keeping spans, and
+            carrying a live plane, when this one does), this tracer
+            folds the front end and control streams, and the shard
+            registries merge into its own at the end of the run — see
+            the module docstring. Otherwise the shards run untraced,
+            controlled or not.
         policies: Optional per-shard policy overrides (length must
             equal ``config.n_shards``); each shard may then schedule
             differently while the front end stays shared.
@@ -305,10 +321,13 @@ class FleetServer:
         is ``None``) is the degenerate case: one epoch that admits
         every arrival, with no monitor or controller, after which each
         shard's ``finish`` is exactly ``EnsembleServer.run`` over its
-        sub-workload. Everything is deterministic — seeded router and
-        rotation, fluid arithmetic, event-ordered monitor — so a fixed
-        (trace, seed) replays to byte-identical records and
-        ``control_log``.
+        sub-workload; under a live plane its shards stop at each
+        snapshot boundary on the way. A traced fleet merges its
+        telemetry at every stop
+        (:class:`~repro.fleet.telemetry.FleetTelemetry`).
+        Everything is deterministic — seeded router and rotation, fluid
+        arithmetic, event-ordered monitor — so a fixed (trace, seed)
+        replays to byte-identical records and ``control_log``.
         """
         if workload.n_models != self.latencies.shape[0]:
             raise ValueError(
@@ -354,13 +373,10 @@ class FleetServer:
                 if (cheap_mask >> k) & 1
             ))
 
-        # Shards record only when the merge replays their spans (a
-        # traced fleet); otherwise they run untraced, and the monitor
-        # is fed from the outcomes their sessions hand back. When the
-        # fleet tracer carries a live plane, each shard gets its own
-        # (ticked per epoch by session.advance, so `top` sees genuine
-        # mid-run state) and the controller's action log is attached
-        # to the fleet plane for incident bundles.
+        # A traced fleet gives each shard its own tracer, keeping spans
+        # only when the fleet's does; with a live plane on the fleet
+        # tracer each shard gets its own plane too (`top` polls them
+        # mid-run) and marks its trigger spans for the fleet plane.
         fleet_live = tracer.live if traced else None
         self.shard_lives = []
         shard_tracers: List[RecordingTracer] = []
@@ -371,10 +387,13 @@ class FleetServer:
                     shard_live = LiveTelemetry(
                         fleet_live.config, source=f"shard{shard}"
                     )
+                    shard_live.marks = []
                     self.shard_lives.append(shard_live)
-                shard_tracers.append(RecordingTracer(live=shard_live))
-        if fleet_live is not None and controller is not None:
-            fleet_live.attach_control_log(controller.log)
+                shard_tracers.append(RecordingTracer(
+                    keep_spans=tracer.keep_spans,
+                    compression=tracer.compression,
+                    live=shard_live,
+                ))
         servers = [
             EnsembleServer.from_config(
                 self.latencies,
@@ -386,9 +405,20 @@ class FleetServer:
             for shard in range(n_shards)
         ]
         sessions = [server.session() for server in servers]
-        if monitor is not None:
+        shard_ids: List[List[int]] = [[] for _ in range(n_shards)]
+        telemetry = (
+            FleetTelemetry(
+                tracer, shard_tracers, shard_ids, servers, ctrl_tracer
+            )
+            if traced else None
+        )
+        if monitor is not None or (
+            telemetry is not None and telemetry.wants_outcomes
+        ):
             for session in sessions:
                 session.outcomes = []
+        if fleet_live is not None and controller is not None:
+            fleet_live.attach_control_log(controller.log)
 
         # Fluid front-end state: per virtual single-queue shard, its
         # next-free time plus the (monotone) finish times of jobs still
@@ -408,24 +438,31 @@ class FleetServer:
                 capacity[pending_cap.pop(0)[1]] += 1
 
         assignments = np.full(n, -1, dtype=int)
-        shard_ids: List[List[int]] = [[] for _ in range(n_shards)]
-        front_spans: List[Span] = []
+        front = telemetry.front if telemetry is not None else None
         n_shed = 0
         eff_limit = cfg.queue_limit
         degraded = False
 
-        def harvest(outcomes: List[Tuple[float, bool, bool]]) -> None:
-            """Feed the monitor ``outcomes`` (the front end's sheds) plus
-            the outcomes the shards' sessions resolved since the last
-            call, in global ``(time, shard, seq)`` order: every stream
-            is in resolution order, so a stable sort on time over the
-            front end and then shards 0..n-1 is exactly that order."""
+        def harvest(outcomes: List[tuple]) -> None:
+            """Hand the outcomes the shards' sessions resolved since the
+            last call to the telemetry merge, and feed them plus
+            ``outcomes`` (the front end's sheds) to the monitor in
+            global ``(time, shard, seq)`` order: every stream is in
+            resolution order, so a stable sort on time over the front
+            end and then shards 0..n-1 is exactly that order."""
+            resolved = [session.outcomes for session in sessions]
+            if resolved[0] is None:  # nothing reads outcomes
+                return
             for session in sessions:
-                outcomes += session.outcomes
-                session.outcomes.clear()
-            outcomes.sort(key=itemgetter(0))
-            for t_o, missed, was_degraded in outcomes:
-                monitor.observe(t_o, missed=missed, degraded=was_degraded)
+                session.outcomes = []
+            if telemetry is not None:
+                telemetry.add_outcomes(resolved)
+            if monitor is not None:
+                for batch in resolved:
+                    outcomes += batch
+                outcomes.sort(key=itemgetter(0))
+                for t_o, missed, was_degraded, _ in outcomes:
+                    monitor.observe(t_o, missed=missed, degraded=was_degraded)
 
         qi = 0
         epoch = 0
@@ -436,7 +473,7 @@ class FleetServer:
             else:
                 t_end = epoch * interval + interval
                 activate(epoch * interval)
-            outcomes: List[Tuple[float, bool, bool]] = []
+            outcomes: List[tuple] = []
 
             # -- 1. admit this epoch's arrivals through the front end --
             while qi < n and float(workload.arrivals[qi]) < t_end:
@@ -468,19 +505,19 @@ class FleetServer:
                         redirected = True
                     else:
                         n_shed += 1
-                        if traced:
-                            front_spans.append(Span(sp.SHED, now, qid, {
+                        if front is not None:
+                            front.append((sp.SHED, now, qid, {
                                 "policy": self.router.name,
                                 "backlog": backlogs[chosen],
                             }))
-                            front_spans.append(Span(sp.REJECT, now, qid, {
+                            front.append((sp.REJECT, now, qid, {
                                 "reason": "shed",
                             }))
-                        outcomes.append((now, True, False))
+                        outcomes.append((now, True, False, None))
                         continue
                 assignments[qid] = chosen
-                if traced:
-                    front_spans.append(Span(sp.ROUTE, now, qid, {
+                if front is not None:
+                    front.append((sp.ROUTE, now, qid, {
                         "shard": chosen,
                         "backlog": backlogs[chosen],
                         "policy": self.router.name,
@@ -506,9 +543,13 @@ class FleetServer:
             # -- 2. advance every shard to the epoch boundary --
             for session in sessions:
                 session.advance(t_end)
+            for shard_live in self.shard_lives:
+                shard_live.tick(t_end)
 
-            # -- 3. harvest resolved outcomes into the monitor --
+            # -- 3. harvest resolved outcomes; merge telemetry so far --
             harvest(outcomes)
+            if telemetry is not None:
+                telemetry.step(t_end)
 
             # -- 4. decide and actuate --
             for action in controller.tick(t_end):
@@ -563,6 +604,9 @@ class FleetServer:
                         queue_limit=eff_limit, tightened=tightened,
                     )
 
+            if telemetry is not None:
+                telemetry.flush(t_end)
+
             epoch += 1
             if qi >= n and not any(s.pending for s in sessions):
                 if idle_since is None:
@@ -579,10 +623,36 @@ class FleetServer:
                 ):
                     break
 
-        shard_results = [session.finish() for session in sessions]
-        if monitor is not None:
-            # Fold outcomes resolved during finish (unserved rejects).
-            harvest([])
+        shard_results: List[Optional[ServingResult]] = [None] * n_shards
+        if control is None and fleet_live is not None:
+            # A static live fleet stops at each snapshot boundary, so
+            # the fleet plane cuts its snapshots mid-run. A shard that
+            # drains finishes at once, exactly as an unstopped run
+            # finishes it; only shards with work left are ticked.
+            running = list(range(n_shards))
+            stop = 0.0
+            while running:
+                stop += fleet_live.config.cadence
+                for shard in running:
+                    sessions[shard].advance(stop)
+                left = []
+                for shard in running:
+                    if sessions[shard].pending:
+                        self.shard_lives[shard].tick(stop)
+                        left.append(shard)
+                    else:
+                        shard_results[shard] = sessions[shard].finish()
+                running = left
+                harvest([])
+                if running:
+                    telemetry.step(stop)
+                    telemetry.flush(stop)
+        shard_results = [
+            result if result is not None else session.finish()
+            for result, session in zip(shard_results, sessions)
+        ]
+        # Fold outcomes resolved during finish (unserved rejects).
+        harvest([])
         end = max(
             [t.end_time for t in shard_tracers]
             + [session.now for session in sessions]
@@ -593,45 +663,8 @@ class FleetServer:
         if monitor is not None:
             monitor.finalize(end)
 
-        # -- merge: remap ids, tag shards, replay through the tracer --
         shard_query_ids = [np.asarray(ids, dtype=int) for ids in shard_ids]
-        shard_spans: Optional[List[List[Span]]] = None
-        if traced:
-            # Scaled shards have different worker counts, so worker-id
-            # offsets are cumulative over the final deployments.
-            offsets = []
-            total = 0
-            for server in servers:
-                offsets.append(total)
-                total += server.n_workers
-            shard_spans = []
-            # Global order is (time, stream, index) over the streams
-            # front end, shards 0..n-1, control (which sorts after
-            # every shard at the same instant): a stable sort on time
-            # over their concatenation is exactly that order.
-            merged_stream = list(front_spans)
-            for shard, shard_tracer in enumerate(shard_tracers):
-                ids = shard_query_ids[shard]
-                offset = offsets[shard]
-                remapped = []
-                for span in shard_tracer.spans:
-                    attrs = dict(span.attrs)
-                    attrs["shard"] = shard
-                    if "worker" in attrs:
-                        attrs["worker"] = int(attrs["worker"]) + offset
-                    gid = (
-                        int(ids[span.query_id])
-                        if span.query_id >= 0 else -1
-                    )
-                    remapped.append(Span(span.kind, span.time, gid, attrs))
-                shard_spans.append(remapped)
-                merged_stream += remapped
-            merged_stream += ctrl_tracer.spans
-            merged_stream.sort(key=attrgetter("time"))
-            for span in merged_stream:
-                tracer.emit(span.kind, span.time, span.query_id, **span.attrs)
-            tracer.finalize(end)
-
+        shard_spans = telemetry.finish(end) if telemetry is not None else None
         shard_snapshots: Optional[List[List[TelemetrySnapshot]]] = None
         if self.shard_lives:
             shard_snapshots = [
@@ -657,14 +690,17 @@ class FleetServer:
     def _merge_results(
         self, workload, assignments, shard_results, shard_query_ids
     ) -> ServingResult:
-        """Fleet-wide :class:`ServingResult` in global query order."""
+        """Fleet-wide :class:`ServingResult` in global query order.
+
+        Shard records are relabelled with their global ids in place,
+        so the shard results and the merged result share them."""
         records: List[Optional[QueryRecord]] = [None] * workload.n_queries
         for shard, result in enumerate(shard_results):
-            ids = shard_query_ids[shard]
-            for local, record in enumerate(result.records):
-                records[int(ids[local])] = dc_replace(
-                    record, query_id=int(ids[local])
-                )
+            for record, qid in zip(
+                result.records, shard_query_ids[shard].tolist()
+            ):
+                record.query_id = qid
+                records[qid] = record
         for qid in range(workload.n_queries):
             if records[qid] is None:  # shed at admission
                 records[qid] = QueryRecord(

@@ -80,18 +80,26 @@ class QuantileDigest:
         if len(self._buf) >= self._buffer_size:
             self._compress()
 
-    def merge(self, other: "QuantileDigest") -> None:
-        """Absorb ``other``'s full state (both stay valid; self grows)."""
-        if other.count == 0:
+    def merge(self, *others: "QuantileDigest") -> None:
+        """Absorb the full state of every digest in ``others`` (all stay
+        valid; self grows), compressing their centroids in one pass."""
+        others = [other for other in others if other.count]
+        if not others:
             return
-        other._compress()
+        for other in others:
+            other._compress()
         self._compress()
-        self._means = np.concatenate([self._means, other._means])
-        self._weights = np.concatenate([self._weights, other._weights])
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+        self._means = np.concatenate(
+            [self._means] + [other._means for other in others]
+        )
+        self._weights = np.concatenate(
+            [self._weights] + [other._weights for other in others]
+        )
+        for other in others:
+            self.count += other.count
+            self.total += other.total
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
         self._merge_sorted()
 
     def _compress(self) -> None:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -78,9 +79,9 @@ INCIDENT_SCHEMA = "repro.incident/1"
 #: boundary, not from a span).
 DEFAULT_TRIGGERS = (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
 
-#: Kinds the live plane emits about itself — never stored in the ring
-#: or fed to the watchdog (a fleet tracer replaying shard streams sees
-#: shard-level snapshot spans go by).
+#: Kinds the live plane emits about itself — kept in the recorder's
+#: rows (a fleet's totals count them) but never part of the ring or fed
+#: to the watchdog.
 META_KINDS = frozenset((SNAPSHOT, ANOMALY, INCIDENT))
 
 
@@ -223,7 +224,7 @@ class TelemetrySnapshot:
         counters: Dict[str, float] = {}
         totals: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
-        merged: Dict[str, QuantileDigest] = {}
+        parts: Dict[str, List[QuantileDigest]] = {}
         for snap in snapshots:
             for name, value in snap.counters.items():
                 counters[name] = counters.get(name, 0.0) + value
@@ -232,11 +233,13 @@ class TelemetrySnapshot:
             for name, value in snap.gauges.items():
                 gauges[name] = gauges.get(name, 0.0) + value
             for name, state in snap.digests.items():
-                digest = QuantileDigest.from_dict(state)
-                if name in merged:
-                    merged[name].merge(digest)
-                else:
-                    merged[name] = digest
+                parts.setdefault(name, []).append(
+                    QuantileDigest.from_dict(state)
+                )
+        digests = {}
+        for name, (first, *rest) in parts.items():
+            first.merge(*rest)
+            digests[name] = first.to_dict()
         return cls(
             seq=snapshots[0].seq,
             time=max(snap.time for snap in snapshots),
@@ -244,9 +247,7 @@ class TelemetrySnapshot:
             counters=counters,
             totals=totals,
             gauges=gauges,
-            digests={
-                name: digest.to_dict() for name, digest in merged.items()
-            },
+            digests=digests,
         )
 
 
@@ -256,18 +257,27 @@ def rollup_snapshots(
     """Fleet rollup: align per-source snapshot streams on ``seq`` and
     merge each boundary via :meth:`TelemetrySnapshot.rollup`.
 
-    Sources that flushed fewer boundaries (a shard that drained early)
-    simply stop contributing; the rollup covers every seq any source
-    reached.
+    The rollup covers every seq any source reached. A source that
+    flushed fewer boundaries (a shard that drained early) carries its
+    last snapshot forward: its totals, gauges and digests stay in the
+    sum, and its window counters count zero.
     """
-    by_seq: Dict[int, List[TelemetrySnapshot]] = {}
-    for stream in per_source:
-        for snap in stream:
-            by_seq.setdefault(snap.seq, []).append(snap)
-    return [
-        TelemetrySnapshot.rollup(by_seq[seq], source=source)
-        for seq in sorted(by_seq)
-    ]
+    streams = [list(stream) for stream in per_source if stream]
+    seqs = sorted({snap.seq for stream in streams for snap in stream})
+    out = []
+    for seq in seqs:
+        parts = []
+        for stream in streams:
+            first, last = stream[0], stream[-1]
+            if seq > last.seq:
+                parts.append(TelemetrySnapshot(
+                    seq, last.time, last.source, {},
+                    last.totals, last.gauges, last.digests,
+                ))
+            elif seq >= first.seq:
+                parts.append(stream[seq - first.seq])
+        out.append(TelemetrySnapshot.rollup(parts, source=source))
+    return out
 
 
 class AnomalyWatchdog:
@@ -358,57 +368,104 @@ class AnomalyWatchdog:
 
 
 class FlightRecorder:
-    """Bounded ring of recent spans plus the freeze-to-bundle logic.
+    """Recent spans plus the freeze-to-bundle logic.
 
-    Two stores behind one hook path; :meth:`LiveTelemetry.bind` picks
-    one from the tracer's ``keep_spans``:
+    The recorder reads one list of rows, every span in emission order
+    (the live plane's own meta spans included); its ring is the last
+    ``ring_capacity`` non-meta rows. :meth:`LiveTelemetry.bind` picks
+    the list from the tracer's ``keep_spans``:
 
-    * **Deque** (``keep_spans=False``): the tracer appends each
-      non-meta span as a ``(kind, time, query_id, attrs)`` tuple — the
+    * ``keep_spans=False``: the recorder's own list. The tracer appends
+      each span as a ``(kind, time, query_id, attrs)`` tuple — the
       attrs dict is shared with the caller, never copied on the hot
-      path.
-    * **Span-list view** (``keep_spans=True``, :meth:`use_span_list`):
-      the tracer already keeps its full span stream, so the ring is a
-      view over the tail of that list and costs nothing per span.
+      path — and :meth:`trim` cuts the list back at each snapshot
+      boundary, keeping the ring plus every row from :attr:`hold` on.
+    * ``keep_spans=True`` (:meth:`use_span_list`): the tracer's own
+      span list, so the ring costs nothing per span.
 
-    Each store is the cheaper one for its tracer, which is why both
-    stay. Either way :meth:`spans` yields the same window (the last
-    ``ring_capacity`` non-meta spans) and :meth:`freeze` materializes
-    :class:`Span` objects only when a trigger actually fires.
+    Either way :meth:`spans` yields the same window and :meth:`freeze`
+    materializes :class:`Span` objects only when a trigger fires.
+    Rows are addressed by absolute index (``base`` counts the rows
+    trimmed away), which is how a fleet cuts a shard's stream at a
+    merged-stream position.
     """
 
     def __init__(self, config: LiveConfig):
         self._config = config
-        self._ring: Deque[Tuple[str, float, int, Dict[str, object]]] = (
-            deque(maxlen=config.ring_capacity)
-        )
+        self.rows: List = []
+        self.base = 0
+        #: Absolute index of the oldest row a holder still needs (the
+        #: fleet merge); None lets :meth:`trim` keep just the ring.
+        self.hold: Optional[int] = None
         self._span_list: Optional[List[Span]] = None
-        self.append = self._ring.append  # hot-path bound method
+        self.append = self.rows.append  # hot-path bound method
+        #: Kind and time of a row, whichever store holds it.
+        self.kind_of = itemgetter(0)
+        self.time_of = itemgetter(1)
 
     def use_span_list(self, spans: List[Span]) -> None:
         """Back the ring by the tracer's own (growing) span list."""
-        self._span_list = spans
+        self._span_list = self.rows = spans
+        self.kind_of = attrgetter("kind")
+        self.time_of = attrgetter("time")
+
+    def row(self, index: int) -> Tuple[str, float, int, Dict[str, object]]:
+        """The row at absolute ``index`` as a plain tuple."""
+        row = self.rows[index - self.base]
+        if self._span_list is not None:
+            return row.kind, row.time, row.query_id, row.attrs
+        return row
+
+    def back(self, end: Optional[int] = None):
+        """``(index, kind, time)`` of each non-meta row before absolute
+        index ``end`` (all rows by default), newest first."""
+        rows, kind_of, time_of = self.rows, self.kind_of, self.time_of
+        i = len(rows) if end is None else end - self.base
+        while i > 0:
+            i -= 1
+            kind = kind_of(rows[i])
+            if kind not in META_KINDS:
+                yield i + self.base, kind, time_of(rows[i])
 
     def spans(self) -> List[Span]:
         """The retained window as :class:`Span` objects (oldest first)."""
+        kind_of, cap = self.kind_of, self._config.ring_capacity
+        tail = []
+        for row in reversed(self.rows):
+            if kind_of(row) not in META_KINDS:
+                tail.append(row)
+                if len(tail) == cap:
+                    break
         if self._span_list is not None:
-            # Walk the tail backwards; the live plane's own meta spans
-            # are in the tracer's list but never part of the ring.
-            cap = self._config.ring_capacity
-            tail: List[Span] = []
-            for span in reversed(self._span_list):
-                if span.kind not in META_KINDS:
-                    tail.append(span)
-                    if len(tail) == cap:
-                        break
             return [
                 Span(s.kind, s.time, s.query_id, dict(s.attrs))
                 for s in reversed(tail)
             ]
         return [
             Span(kind, time, qid, dict(attrs))
-            for kind, time, qid, attrs in self._ring
+            for kind, time, qid, attrs in reversed(tail)
         ]
+
+    def trim(self) -> None:
+        """Drop rows older than the ring before :attr:`hold` (or the
+        end); amortized, so a trim walks at most one ring per two rings
+        of rows it drops."""
+        if self._span_list is not None:
+            return
+        rows = self.rows
+        limit = len(rows)
+        if self.hold is not None:
+            limit = min(limit, self.hold - self.base)
+        cap = self._config.ring_capacity
+        if limit <= 3 * cap:
+            return
+        i, kept = limit, 0
+        while i > 0 and kept < cap:
+            i -= 1
+            if rows[i][0] not in META_KINDS:
+                kept += 1
+        del rows[:i]
+        self.base += i
 
     def freeze(
         self,
@@ -479,12 +536,12 @@ class LiveTelemetry:
     calls :meth:`bind` when attached, which picks the recorder's store
     from its ``keep_spans``. Its ``emit`` is the one span hook: a span
     first flushes any snapshot boundary it passes, is then stored (a
-    deque append, or nothing when the ring is a view over the tracer's
+    list append, or nothing when the ring is a view over the tracer's
     span list), and the tracer's fold chain hands ``complete``/
     ``reject`` to the watchdog and trigger kinds to
-    :meth:`_maybe_trigger`. :meth:`tick` lets epoch drivers
-    (``ServingSession.advance``, the fleet control loop) flush
-    boundaries through quiet stretches with no spans.
+    :meth:`_maybe_trigger`. :meth:`tick` lets an epoch driver (a
+    fleet, at each of its stops) flush boundaries through quiet
+    stretches with no spans.
 
     State is plain attribute reads, so a background thread (the
     ``--serve-metrics`` endpoint, the ``top`` console) can sample
@@ -517,9 +574,14 @@ class LiveTelemetry:
         self._trigger_set = frozenset(self.config.triggers)
         self._emitting = False
         self._finalized = False
-        # The deque store's bound append, which the tracer calls per
-        # non-meta span; None once bind makes the ring a span-list view.
+        # The row list's bound append, which the tracer calls per span;
+        # None once bind makes the ring a span-list view.
         self._ring_append = self.recorder.append
+        #: Set to a list by a fleet merging this plane's stream: each
+        #: trigger-kind span then appends ``(time, kind, query_id,
+        #: attrs, row)``, ``row`` its absolute recorder index.
+        self.marks: Optional[List[tuple]] = None
+        self._merge = None
 
     # -- attachment ----------------------------------------------------
 
@@ -547,6 +609,17 @@ class LiveTelemetry:
         then carry the blamed queries' decision records."""
         self._decisions = log
 
+    def attach_merge(self, merge) -> None:
+        """Attach the sources this plane's tracer does not fold (a
+        fleet's shards). ``merge.rollup(own, boundary)`` turns the
+        snapshot of this tracer's registry at a boundary (``None`` for
+        the final partial snapshot) into the merged one, and
+        ``merge.window(totals, boundary)`` turns this tracer's registry
+        totals at a trigger, with this recorder's ring, into the merged
+        ring spans and totals (``boundary`` set for a boundary's
+        anomaly)."""
+        self._merge = merge
+
     # -- hot path ------------------------------------------------------
 
     def _maybe_trigger(
@@ -555,6 +628,12 @@ class LiveTelemetry:
         """Trigger hook, called from the tracer's fold chain on the
         span kinds of :data:`DEFAULT_TRIGGERS`, before their fold."""
         if kind in self._trigger_set:
+            if self.marks is not None:
+                recorder = self.recorder
+                self.marks.append((
+                    time, kind, query_id, attrs,
+                    recorder.base + len(recorder.rows) - 1,
+                ))
             self._freeze(kind, time, query_id, dict(attrs))
 
     def tick(self, now: float) -> None:
@@ -618,40 +697,46 @@ class LiveTelemetry:
         while self._next_due <= now:
             boundary = self._next_due
             self._next_due = boundary + self.config.cadence
-            self._emit_snapshot(boundary)
+            self._emit_snapshot(boundary, boundary)
+        self.recorder.trim()
 
-    def _emit_snapshot(self, boundary: float) -> None:
-        registry = self._metrics
-        counters: Dict[str, float] = {}
+    def cut(self, time: float) -> TelemetrySnapshot:
+        """The registry's state now, as an unnumbered snapshot at
+        ``time`` (window counters empty)."""
         totals: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         digests: Dict[str, Dict[str, object]] = {}
+        registry = self._metrics
         for name in registry.names():
             metric = registry.get(name)
             if isinstance(metric, Counter):
                 totals[name] = metric.value
-                delta = metric.value - self._prev_totals.get(name, 0.0)
-                if delta:
-                    counters[name] = delta
             elif isinstance(metric, Gauge):
                 if metric.last is not None:
                     gauges[name] = metric.last
             elif isinstance(metric, StreamingHistogram):
                 digests[name] = metric.checkpoint()
-        self._prev_totals = dict(totals)
-        snap = TelemetrySnapshot(
-            seq=self._n_snapshots,
-            time=boundary,
-            source=self.source,
-            counters=counters,
-            totals=totals,
-            gauges=gauges,
-            digests=digests,
+        return TelemetrySnapshot(
+            self._n_snapshots, time, self.source, {}, totals, gauges, digests,
         )
+
+    def _emit_snapshot(
+        self, time: float, boundary: Optional[float] = None
+    ) -> None:
+        snap = self.cut(time)
+        if self._merge is not None:
+            snap = self._merge.rollup(snap, boundary)
+        prev = self._prev_totals
+        counters = snap.counters = {}
+        for name, value in snap.totals.items():
+            delta = value - prev.get(name, 0.0)
+            if delta:
+                counters[name] = delta
+        self._prev_totals = dict(snap.totals)
         self._n_snapshots += 1
         self.snapshots.append(snap)
         self._emit(
-            SNAPSHOT, boundary,
+            SNAPSHOT, time,
             seq=snap.seq,
             arrived=counters.get("queries.arrived", 0.0),
             completed=counters.get("queries.completed", 0.0),
@@ -661,12 +746,13 @@ class LiveTelemetry:
             verdict = self.watchdog.close_window()
             if verdict is not None:
                 attrs = dict(verdict)
-                self._emit(ANOMALY, boundary, **attrs)
+                self._emit(ANOMALY, time, **attrs)
                 if ANOMALY in self._trigger_set:
-                    self._freeze(ANOMALY, boundary, -1, attrs)
+                    self._freeze(ANOMALY, time, -1, attrs, boundary)
 
     def _freeze(
-        self, kind: str, time: float, query_id: int, attrs: Dict[str, object]
+        self, kind: str, time: float, query_id: int,
+        attrs: Dict[str, object], boundary: Optional[float] = None,
     ) -> None:
         config = self.config
         if len(self.incidents) >= config.max_incidents or (
@@ -676,7 +762,10 @@ class LiveTelemetry:
             self.suppressed += 1
             return
         self._last_incident = time
-        ring_spans = self.recorder.spans()
+        if self._merge is not None:
+            ring_spans, totals = self._merge.window(self._totals(), boundary)
+        else:
+            ring_spans, totals = self.recorder.spans(), self._totals()
         control = None
         if self._control_log is not None:
             window_start = ring_spans[0].time if ring_spans else time
@@ -685,7 +774,7 @@ class LiveTelemetry:
             kind, time, query_id, attrs,
             seq=len(self.incidents),
             source=self.source,
-            totals=dict(self._totals()),
+            totals=totals,
             snapshots=self.snapshots,
             ring_spans=ring_spans,
             control=control,

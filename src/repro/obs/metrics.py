@@ -11,7 +11,7 @@ accurate without retaining every observation — the property that lets a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,20 @@ class Gauge:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    def absorb(self, *others: "Gauge") -> None:
+        """Interleave the samples of ``others`` with this gauge's by
+        time; samples at the same time keep source order — ``others``
+        in the order given, then this gauge's own."""
+        sources = [g for g in others if g._times]
+        if not sources:
+            return
+        sources.append(self)
+        times = [t for g in sources for t in g._times]
+        values = [v for g in sources for v in g._values]
+        order = np.argsort(np.asarray(times), kind="stable")
+        self._times = np.asarray(times)[order].tolist()
+        self._values = np.asarray(values)[order].tolist()
 
     @property
     def last(self) -> Optional[float]:
@@ -144,9 +158,10 @@ class StreamingHistogram:
         """Fold one observation into the sketch."""
         self._digest.add(value)
 
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Absorb ``other``'s observations (digest-level merge)."""
-        self._digest.merge(other._digest)
+    def merge(self, *others: "StreamingHistogram") -> None:
+        """Absorb the observations of every histogram in ``others``
+        (one digest-level merge pass)."""
+        self._digest.merge(*(other._digest for other in others))
 
     def checkpoint(self) -> Dict[str, object]:
         """Full mergeable digest state (``QuantileDigest.to_dict``) —
@@ -231,6 +246,27 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
+
+    def absorb(self, others: Sequence["MetricsRegistry"]) -> None:
+        """Merge ``others`` into this registry: counters sum, histograms
+        digest-merge in one pass, and gauge samples interleave by time
+        (see :meth:`Gauge.absorb`: ties keep ``others`` in order, then
+        this registry's own samples)."""
+        names = sorted({name for other in others for name in other.names()})
+        for name in names:
+            found = [
+                other._metrics[name] for other in others
+                if name in other._metrics
+            ]
+            kind = type(found[0])
+            if kind is Counter:
+                counter = self.counter(name)
+                for metric in found:
+                    counter.inc(metric.value)
+            elif kind is Gauge:
+                self.gauge(name).absorb(*found)
+            else:
+                self.histogram(name, found[0].compression).merge(*found)
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Nested ``{metric: {stat: value}}`` dump of every metric."""

@@ -129,16 +129,20 @@ class _Window:
     Bucket ``i`` covers ``[i*width, (i+1)*width)`` simulated seconds;
     at most ``resolution + 1`` buckets are alive, so memory is constant
     regardless of trace length. Rates are computed over the buckets
-    overlapping ``(t - length, t]``.
+    overlapping ``(t - length, t]``; running sums over the live buckets,
+    updated on observe and on evict, make :meth:`counts` O(1).
     """
 
-    __slots__ = ("length", "width", "_buckets")
+    __slots__ = (
+        "length", "width", "_buckets", "_events", "_misses", "_degraded",
+    )
 
     def __init__(self, length: float, resolution: int):
         self.length = length
         self.width = length / resolution
         # Each bucket: [index, events, misses, degraded]
         self._buckets: Deque[List[float]] = deque()
+        self._events = self._misses = self._degraded = 0
 
     def observe(self, t: float, missed: bool, degraded: bool) -> None:
         idx = int(t / self.width)
@@ -150,22 +154,24 @@ class _Window:
         bucket[1] += 1
         bucket[2] += int(missed)
         bucket[3] += int(degraded)
+        self._events += 1
+        self._misses += int(missed)
+        self._degraded += int(degraded)
         self._evict(t)
 
     def _evict(self, t: float) -> None:
         cutoff = t - self.length
-        while self._buckets and (self._buckets[0][0] + 1) * self.width <= cutoff:
-            self._buckets.popleft()
+        buckets = self._buckets
+        while buckets and (buckets[0][0] + 1) * self.width <= cutoff:
+            _, events, misses, degraded = buckets.popleft()
+            self._events -= events
+            self._misses -= misses
+            self._degraded -= degraded
 
     def counts(self, t: float) -> Tuple[int, int, int]:
         """``(events, misses, degraded)`` in the window ending at ``t``."""
         self._evict(t)
-        events = misses = degraded = 0
-        for _, e, m, d in self._buckets:
-            events += e
-            misses += m
-            degraded += d
-        return events, misses, degraded
+        return self._events, self._misses, self._degraded
 
 
 class SLOMonitor:

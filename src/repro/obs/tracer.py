@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.live import META_KINDS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     ADMISSION_CHANGE,
@@ -148,7 +147,7 @@ class RecordingTracer(Tracer):
         self._plan_size = m.histogram("plan.size", compression)
         self._slack = m.histogram("deadline.slack_s", compression)
         self._latency = m.histogram("query.latency_s", compression)
-        self._compression = compression
+        self.compression = compression
         if slo is not None:
             slo.bind(self)
         if live is not None:
@@ -166,14 +165,14 @@ class RecordingTracer(Tracer):
             # boundary's snapshot span in the kept stream. The
             # re-entrancy guard only matters at a boundary: the
             # plane's own spans are meta kinds and _flush advances
-            # _next_due before emitting. The deque store takes every
-            # non-meta span; the span-list store is this tracer's own
-            # list. Outcome and trigger kinds reach the plane from
-            # their branches of the fold chain below.
+            # _next_due before emitting. The recorder's row list takes
+            # every span; with kept spans its list is this tracer's
+            # own. Outcome and trigger kinds reach the plane from their
+            # branches of the fold chain below.
             if time >= live._next_due and not live._emitting:
                 live._flush(time)
             ring_append = live._ring_append
-            if ring_append is not None and kind not in META_KINDS:
+            if ring_append is not None:
                 ring_append((kind, time, query_id, attrs))
         if self.keep_spans:
             self.spans.append(Span(kind, time, query_id, attrs))
@@ -307,7 +306,7 @@ class RecordingTracer(Tracer):
             # Created lazily: unprofiled runs never see this span kind,
             # so their registries keep the pre-profiling metric set.
             metrics.histogram(
-                "task.queue_wait_s", self._compression
+                "task.queue_wait_s", self.compression
             ).add(float(attrs["wait_s"]))
         elif kind == SNAPSHOT:
             metrics.counter("telemetry.snapshots").inc()

@@ -329,14 +329,15 @@ class ServingSession:
     the worker pool (baseline plus replica sets added mid-run) and the
     fault injector.
 
-    Outcomes: a caller that steers on what the session resolves (the
-    fleet's SLO monitor) sets :attr:`outcomes` to a list before
-    offering. Every query then appends ``(time, missed, degraded)``
-    the moment it resolves — completed (``missed`` when its slack is
-    negative), or rejected (missed, not degraded) — in the order the
-    ``complete``/``reject`` spans would be emitted, traced or not; the
-    caller drains the list. Left ``None`` (a batch run, a static
-    fleet), the session keeps none.
+    Outcomes: a caller that reads what the session resolves (a fleet's
+    control-loop SLO monitor, or its tracer's watchdog and ``slo``
+    monitor) sets :attr:`outcomes` to a list before offering. Every query then
+    appends ``(time, missed, degraded, latency)`` the moment it
+    resolves — completed (``missed`` when its slack is negative), or
+    rejected (missed, not degraded, latency ``None``) — in the order
+    the ``complete``/``reject`` spans would be emitted, traced or not;
+    the caller drains the list. Left ``None`` (a batch run, an
+    unobserved static fleet), the session keeps none.
 
     Usage contract: offers carry absolute arrival times and must not
     lie in the session's past (before the last processed event);
@@ -362,12 +363,6 @@ class ServingSession:
         # bit-for-bit identical to an unprofiled one.
         prof = trace and tracer.profile
         self._prof = prof
-        # Live telemetry plane (repro.obs.live), carried by the tracer.
-        # Spans drive it from inside tracer.emit; the advance-boundary
-        # tick below only flushes snapshot cadences through quiet
-        # stretches, so epoch drivers (the control loop) get a snapshot
-        # per epoch even when no span lands in it.
-        self._live = tracer.live if trace else None
         scheduler = getattr(server.policy, "scheduler", None)
         self._prof_sched = None
         if prof and scheduler is not None and hasattr(scheduler, "profile"):
@@ -437,7 +432,9 @@ class ServingSession:
         self._n_offered = 0
         self._now = 0.0
         self._finished = False
-        self.outcomes: Optional[List[Tuple[float, bool, bool]]] = None
+        self.outcomes: Optional[
+            List[Tuple[float, bool, bool, Optional[float]]]
+        ] = None
 
     # -- streaming interface -------------------------------------------
 
@@ -569,8 +566,6 @@ class ServingSession:
                 payload.down = False
                 if payload.queue:
                     self._start_next(payload, now)
-        if until is not None and self._live is not None:
-            self._live.tick(until)
         return self._now
 
     def finish(self) -> ServingResult:
@@ -588,7 +583,7 @@ class ServingSession:
             if self._trace:
                 tracer.emit(sp.REJECT, now, qid, reason="unserved")
             if self.outcomes is not None:
-                self.outcomes.append((now, True, False))
+                self.outcomes.append((now, True, False, None))
         tracer.finalize(now)
         if self._explain_sched is not None:
             self._explain_sched.collect_stats = False
@@ -844,7 +839,7 @@ class ServingSession:
                         sp.REJECT, now, record.query_id, reason="faulted",
                     )
                 if outcomes is not None:
-                    outcomes.append((now, True, False))
+                    outcomes.append((now, True, False, None))
                 return
             # Answer from the executed subset: stacking's KNN filler
             # reconstructs the missing coordinates, so the partial
@@ -860,9 +855,10 @@ class ServingSession:
         if self._explain is not None:
             self._explain.realize(record.query_id, now, record.deadline - now)
         if outcomes is not None:
-            outcomes.append(
-                (now, record.deadline - now < 0.0, record.degraded)
-            )
+            outcomes.append((
+                now, record.deadline - now < 0.0, record.degraded,
+                now - record.arrival,
+            ))
         if trace:
             if record.degraded:
                 # A partial answer, or a plan narrowed by the cheap mask.
@@ -1100,7 +1096,7 @@ class ServingSession:
                         reason="infeasible",
                     )
                 if self.outcomes is not None:
-                    self.outcomes.append((now, True, False))
+                    self.outcomes.append((now, True, False, None))
                 continue
             if not self._any_idle(now):
                 self._buffer.append(decision.query_id)
@@ -1139,7 +1135,7 @@ class ServingSession:
                         sp.REJECT, now, qid, reason="estimate",
                     )
                 if self.outcomes is not None:
-                    self.outcomes.append((now, True, False))
+                    self.outcomes.append((now, True, False, None))
                 return
         if explain is not None:
             explain.add(self._explain_record(

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from repro.control import ControlConfig
+from repro.experiments.fleet import (
+    fleet_workload,
+    make_fleet_policy,
+    synthetic_fleet_setup,
+)
 from repro.fleet import FleetConfig, FleetServer
 from repro.obs import spans as sp
+from repro.obs.live import LiveTelemetry, rollup_snapshots
 from repro.obs.slo import SLOConfig
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
 from repro.serving.config import ServerConfig
 from repro.serving.policies import BufferedSchedulingPolicy
-from repro.serving.server import EnsembleServer
+from repro.serving.server import EnsembleServer, ServingSession
 from repro.serving.workload import ServingWorkload
 
 LATENCIES = [0.004, 0.009, 0.018]
@@ -219,6 +225,65 @@ class TestObservability:
         result, _, _ = run_fleet("hash")
         assert result.shard_spans is None
         assert result.merged.metrics is None
+
+    def test_lean_tracer_keeps_no_shard_spans(self):
+        tracer = RecordingTracer(keep_spans=False)
+        result, workload, _ = run_fleet("hash", tracer=tracer)
+        assert result.shard_spans is None
+        assert tracer.spans == []
+        routed = workload.n_queries - result.n_shed
+        assert tracer.metrics.counter("router.routed").value == routed
+        assert tracer.metrics.counter("queries.arrived").value == routed
+
+    def test_shard_records_carry_global_ids(self):
+        result, _, _ = run_fleet("power_of_two")
+        for shard, shard_result in enumerate(result.shard_results):
+            ids = result.shard_query_ids[shard]
+            for local, record in enumerate(shard_result.records):
+                assert record.query_id == ids[local]
+                assert result.merged.records[ids[local]] is record
+
+
+class TestLiveFleet:
+    """A static live fleet stops at each snapshot boundary."""
+
+    def run(self, tracer):
+        latencies, quality, scores = synthetic_fleet_setup(seed=0)
+        fleet = FleetServer.from_config(
+            latencies, make_fleet_policy(quality, scores),
+            FleetConfig.uniform(3, ServerConfig(), router="hash", seed=0),
+            tracer=tracer,
+        )
+        workload = fleet_workload(
+            quality, base_rate=0.3, duration=20.0, seed=0
+        )
+        return fleet.run(workload)
+
+    def test_shard_rollup_keeps_drained_shards(self):
+        tracer = RecordingTracer(live=LiveTelemetry(source="fleet"))
+        result = self.run(tracer)
+        # The shards drain at different times: their streams differ in
+        # length, and the rollup still counts every shard's arrivals.
+        assert len({len(s) for s in result.shard_snapshots}) > 1
+        rolled = rollup_snapshots(result.shard_snapshots)[-1]
+        fleet = tracer.live.snapshots[-1]
+        assert rolled.totals["queries.arrived"] == (
+            fleet.totals["queries.arrived"]
+        ) == result.assignments.size - result.n_shed
+
+    def test_fleet_snapshots_cut_mid_run(self, monkeypatch):
+        tracer = RecordingTracer(live=LiveTelemetry(source="fleet"))
+        seen = []
+        advance = ServingSession.advance
+
+        def spy(session, until=None):
+            seen.append(len(tracer.live.snapshots))
+            return advance(session, until)
+
+        monkeypatch.setattr(ServingSession, "advance", spy)
+        self.run(tracer)
+        # The shards are still being served after fleet snapshots exist.
+        assert max(seen) > 0
 
 
 # Kinds only the control side stream emits: monitor edges and decisions.

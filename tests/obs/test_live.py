@@ -165,6 +165,20 @@ class TestRollup:
         assert fleet[0].counters["queries.arrived"] == 10
         assert fleet[1].counters["queries.arrived"] == 4
 
+    def test_drained_source_keeps_its_totals(self):
+        a = self._stream(3, 4)
+        b = self._stream(1, 6)  # drained after its first boundary
+        last = rollup_snapshots([a, b])[-1]
+        assert last.totals["queries.arrived"] == (
+            a[-1].totals["queries.arrived"] + b[-1].totals["queries.arrived"]
+        )
+        # Its window counters count zero; its digests stay.
+        assert last.counters["queries.arrived"] == 4
+        assert last.digests["query.latency_s"]["count"] == (
+            a[-1].digests["query.latency_s"]["count"]
+            + b[-1].digests["query.latency_s"]["count"]
+        )
+
     def test_rollup_of_nothing_raises(self):
         with pytest.raises(ValueError):
             TelemetrySnapshot.rollup([])

@@ -279,9 +279,10 @@ def span_outcomes(spans):
                 span.time,
                 span.attrs["slack"] < 0.0,
                 bool(span.attrs.get("degraded", False)),
+                span.attrs["latency"],
             ))
         elif span.kind == sp.REJECT:
-            out.append((span.time, True, False))
+            out.append((span.time, True, False, None))
     return out
 
 
@@ -316,9 +317,9 @@ class TestSessionOutcomes:
         assert outcomes == span_outcomes(tracer.spans)
         assert len(outcomes) == workload.n_queries
         if config is LOSSY:
-            assert any(degraded for _, _, degraded in outcomes)
-        assert any(missed for _, missed, _ in outcomes)
-        assert not all(missed for _, missed, _ in outcomes)
+            assert any(degraded for _, _, degraded, _ in outcomes)
+        assert any(missed for _, missed, _, _ in outcomes)
+        assert not all(missed for _, missed, _, _ in outcomes)
 
     def test_leftovers_rejected_at_finish(self, monkeypatch):
         # Dropping every _SCHEDULE push leaves buffered queries unplanned
