@@ -1,21 +1,23 @@
-"""Benchmark guard: the DP's numpy kernel must be fast *and* bit-exact.
+"""Benchmark guard: the DP's served forms must be fast *and* bit-exact.
 
 Run as a script (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_sched_throughput.py [--quick]
 
 ``DPScheduler.schedule`` serves small instances with the loop form and
-large ones with the kernel. Every check here calls the kernel itself
-(``DPScheduler.schedule_kernel``) and the loop form itself
-(:class:`DPReferenceScheduler`), never the size dispatch, which would
-run the loop form on both sides of a small instance. Three checks:
+large ones with the kernel. Every check here calls each served form
+itself (``DPScheduler.schedule_loop``, ``DPScheduler.schedule_kernel``)
+and the reference (:class:`DPReferenceScheduler`, Algorithm 1 as
+written), never the size dispatch, which would run the loop form on
+both sides of a small instance. Three checks:
 
 * **Parity** — on randomized instances (mixed buffer sizes, ensemble
   sizes, latency profiles, downed models and quantisation steps) the
-  kernel must return exactly the same decisions, total utility and
-  work units as the loop form. Not "close": equal.
+  kernel and the loop form must each return exactly the same
+  decisions, total utility and work units as the reference. Not
+  "close": equal.
 * **Speedup** — min-of-N interleaved timing over a buffer-size grid;
-  the kernel must beat the loop form by ``MIN_SPEEDUP`` at every grid
+  the kernel must beat the reference by ``MIN_SPEEDUP`` at every grid
   point at or above 16 queries / 4 models (full mode only — CI
   runners are too noisy for an absolute floor).
 * **Regression** — current speedups are compared against the committed
@@ -25,16 +27,16 @@ run the loop form on both sides of a small instance. Three checks:
   enforces on every push.
 
 A fourth, kernel-only measurement times the DP at serving-scale
-buffers (64 and 128 queries x 6 models) where the loop form is
+buffers (64 and 128 queries x 6 models) where the reference is
 infeasible. These points record the exact-DP step cost the learned
 fast path (``benchmarks/bench_policy_distill.py``) is gated against,
 and regression-check on the *ratio* to the 16x4 anchor point — a
 machine-portable number, unlike absolute seconds.
 
 A crossover table, with no gate, records the evidence for
-``LOOP_FORM_MAX_SIZE``: microseconds per call of each form and the
-form the dispatch picks, on 1, 2, 3, 4 and 6 models x 1-8 queries,
-with tight and with loose deadlines.
+``LOOP_FORM_MAX_SIZE``: microseconds per call of each served form
+beside the reference, and the form the dispatch picks, on 1, 2, 3, 4
+and 6 models x 1-8 queries, with tight and with loose deadlines.
 
 ``--quick`` shrinks the parity set and timing grid for CI.
 Results go to ``benchmarks/results/BENCH_sched.json``.
@@ -74,7 +76,7 @@ REPEATS = 3
 INSTANCES_PER_POINT_QUICK = 2
 REPEATS_QUICK = 2
 
-# Serving-scale buffers: kernel only (the loop form would take minutes
+# Serving-scale buffers: kernel only (the reference would take minutes
 # per instance), timed per-instance and gated on the ratio to the
 # LARGE_RATIO_ANCHOR small-grid point.
 LARGE_GRID = ((64, 6), (128, 6))
@@ -138,8 +140,8 @@ def make_instance(rng, n_queries, n_models, equal_latencies=False,
 
 
 def check_parity(n_instances):
-    """Decision-for-decision equality of the kernel and the loop form
-    on randomized instances."""
+    """Decision-for-decision equality of each served form (the kernel
+    and the loop form) with the reference on randomized instances."""
     rng = np.random.default_rng(2023)
     mismatches = []
     for i in range(n_instances):
@@ -152,23 +154,30 @@ def check_parity(n_instances):
             tight_deadlines=bool(i % 4 == 0),
         )
         delta = PARITY_DELTAS[i % len(PARITY_DELTAS)]
-        vec = DPScheduler(delta=delta).schedule_kernel(instance)
         ref = DPReferenceScheduler(delta=delta).schedule(instance)
-        same = (
-            [(d.query_id, d.mask) for d in vec.decisions]
-            == [(d.query_id, d.mask) for d in ref.decisions]
-            and vec.total_utility == ref.total_utility
-            and vec.work_units == ref.work_units
-        )
-        if not same:
-            mismatches.append({
-                "instance": i,
-                "delta": delta,
-                "vectorized": [d.mask for d in vec.decisions],
-                "reference": [d.mask for d in ref.decisions],
-            })
+        scheduler = DPScheduler(delta=delta)
+        for form, solve in (
+            ("vectorized", scheduler.schedule_kernel),
+            ("loop", scheduler.schedule_loop),
+        ):
+            got = solve(instance)
+            same = (
+                [(d.query_id, d.mask) for d in got.decisions]
+                == [(d.query_id, d.mask) for d in ref.decisions]
+                and got.total_utility == ref.total_utility
+                and got.work_units == ref.work_units
+            )
+            if not same:
+                mismatches.append({
+                    "instance": i,
+                    "form": form,
+                    "delta": delta,
+                    form: [d.mask for d in got.decisions],
+                    "reference": [d.mask for d in ref.decisions],
+                })
     return {
         "instances": n_instances,
+        "forms": ["vectorized", "loop"],
         "deltas": list(PARITY_DELTAS),
         "mismatches": mismatches,
     }, not mismatches
@@ -225,7 +234,7 @@ def time_grid(grid, instances_per_point, repeats):
 def time_large_grid(grid, repeats, anchor_per_instance_s):
     """Kernel-only timing at serving-scale buffer sizes.
 
-    No reference column: the loop form takes minutes per instance
+    No reference column: the reference takes minutes per instance
     here. Each point also records its per-instance cost as a multiple
     of the small-grid anchor point, which is what the regression gate
     compares — absolute seconds vary with the machine, the ratio of
@@ -260,8 +269,9 @@ def time_large_grid(grid, repeats, anchor_per_instance_s):
 
 
 def time_crossover(instances_per_point, repeats):
-    """Microseconds per call of each form, and the form the size
-    dispatch picks, over the crossover grid. Recorded, not gated."""
+    """Microseconds per call of each served form and of the reference,
+    and the form the size dispatch picks, over the crossover grid.
+    Recorded, not gated."""
     results = []
     for tight in (True, False):
         for n_models in CROSSOVER_MODELS:
@@ -278,6 +288,8 @@ def time_crossover(instances_per_point, repeats):
                     (
                         ("kernel", scheduler.schedule_kernel),
                         ("loop", scheduler.schedule_loop),
+                        ("reference",
+                         DPReferenceScheduler(delta=TIMING_DELTA).schedule),
                     ),
                     instances, repeats,
                 )
@@ -288,6 +300,9 @@ def time_crossover(instances_per_point, repeats):
                     "n_models": n_models,
                     "kernel_us": best["kernel"] / len(instances) * 1e6,
                     "loop_us": best["loop"] / len(instances) * 1e6,
+                    "reference_us": (
+                        best["reference"] / len(instances) * 1e6
+                    ),
                     "dispatch": (
                         "loop" if size <= LOOP_FORM_MAX_SIZE else "kernel"
                     ),
@@ -296,23 +311,25 @@ def time_crossover(instances_per_point, repeats):
 
 
 def format_crossover(crossover):
-    """The crossover table: kernel/loop-form µs per call per grid point,
-    upper-case where the dispatch picks that form."""
+    """The crossover table: kernel/loop-form/reference µs per call per
+    grid point, marked with the form the dispatch picks."""
     lines = [
-        f"crossover (µs per call, kernel/loop; the dispatch runs the "
-        f"loop form up to n_queries * 2**n_models = {LOOP_FORM_MAX_SIZE}, "
-        f"marked L, else the kernel, marked K):",
+        f"crossover (µs per call, kernel/loop/reference; the dispatch "
+        f"runs the loop form up to n_queries * 2**n_models = "
+        f"{LOOP_FORM_MAX_SIZE}, marked L, else the kernel, marked K):",
         "deadlines  models  " + "  ".join(
-            f"{n:>15d}" for n in CROSSOVER_QUERIES
+            f"{n:>23d}" for n in CROSSOVER_QUERIES
         ),
     ]
     rows = {}
     for point in crossover:
         key = (point["deadlines"], point["n_models"])
         mark = "L" if point["dispatch"] == "loop" else "K"
-        rows.setdefault(key, []).append(
-            f"{point['kernel_us']:7.0f}/{point['loop_us']:<7.0f}{mark}"
+        cell = (
+            f"{point['kernel_us']:.0f}/{point['loop_us']:.0f}/"
+            f"{point['reference_us']:.0f}"
         )
+        rows.setdefault(key, []).append(f"{cell:>22s}{mark}")
     for (deadlines, n_models), cells in rows.items():
         lines.append(f"{deadlines:<9s}  {n_models:<6d}  " + "  ".join(cells))
     return lines
@@ -403,7 +420,7 @@ def main(argv=None):
     print(f"wrote {RESULTS_PATH}")
 
     lines = [
-        "DP scheduler throughput — numpy kernel vs loop form "
+        "DP scheduler throughput — numpy kernel vs the reference loop "
         "(bit-exact plans)",
         f"parity: {n_parity} randomized instances, "
         f"{len(parity['mismatches'])} mismatches "
@@ -419,7 +436,7 @@ def main(argv=None):
             f"{point['speedup']:.2f}x"
         )
     lines.append("")
-    lines.append("serving-scale buffers (kernel only — the loop form "
+    lines.append("serving-scale buffers (kernel only — the reference "
                  "is infeasible here):")
     for point in large_timing:
         lines.append(
@@ -433,7 +450,7 @@ def main(argv=None):
     TABLE_PATH.write_text("\n".join(lines) + "\n")
 
     if not parity_ok:
-        print("FAIL: the kernel diverged from the loop form")
+        print("FAIL: a served form diverged from the reference")
         return 1
     for failure in regressions:
         print(f"FAIL: speedup {failure['speedup']:.2f}x at "

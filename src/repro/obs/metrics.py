@@ -121,8 +121,9 @@ class StreamingHistogram:
     count/sum/min/max for every observation, plus ``O(compression)``
     weighted centroids for quantiles. Unlike the reservoir sketch this
     replaced, it is fully deterministic (no sampling), mergeable across
-    histograms, and holds the report percentiles within ~1% relative
-    error at a fraction of the memory (see ``repro.obs.digest``).
+    histograms, and keeps the report percentiles within 1% rank error
+    at a fraction of the memory; relative error in value is that small
+    only where the distribution is smooth (see ``repro.obs.digest``).
     """
 
     def __init__(self, name: str, compression: int = 128):

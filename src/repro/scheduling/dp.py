@@ -9,28 +9,42 @@ for δ = ε/N.
 
 The DP comes in two forms behind one entry point,
 :meth:`DPScheduler.schedule`, which picks the form from the instance's
-size ``n_queries * 2**n_models`` (see :data:`LOOP_FORM_MAX_SIZE`):
+size ``n_queries * 2**n_models`` (see :data:`LOOP_FORM_MAX_SIZE`).
+Both price each frontier entry once: they add the latencies to the
+entry's finish times once (``bumped``), mark the models whose bumped
+time meets the query's deadline, and extend the entry only by masks
+of those models. A mask is feasible exactly when each of its members
+is, so no infeasible candidate is ever built.
 
-* The **loop form** walks the table cell by cell and candidate by
-  candidate in plain Python, carrying each entry's plan as a tuple. It
-  is Algorithm 1 as written. On small buffers, the common case on the
-  paper's workload, it is the faster form: it pays no per-call numpy
-  overhead.
+* The **loop form** walks the table cell by cell in plain Python,
+  carrying each entry's plan as a tuple. Per entry it walks the
+  non-empty submasks of the feasible-model bitset from a table built
+  once per ensemble size, and picks each candidate's finish times out
+  of ``times + bumped`` with one precomputed getter per mask. A
+  candidate is a ``(sum, times, parent_rank, mask, plan)`` tuple, so a
+  plain sort gives the canonical order. On small buffers, the common
+  case on the paper's workload, it is the faster form: it pays no
+  per-call numpy overhead.
 * The **kernel form** keeps the whole table in flat, cell-contiguous
   numpy arrays (finish times, quantised reward, and parent pointers
   for plan reconstruction). Per query it:
 
-  1. extends all ``S × 2**m`` candidates in a single broadcast add
-     against the instance's shared per-mask increment table;
-  2. computes completion times and deadline feasibility for the whole
-     frontier × mask grid at once;
-  3. buckets the surviving candidates into their target cells with one
+  1. bumps every entry once and packs its feasible models into a
+     bitset; a mask is feasible where it is a submask of that bitset;
+  2. builds only the feasible candidates' finish-time rows, each
+     member's bumped time or the parent's time;
+  3. buckets the candidates into their target cells with one
      ``lexsort`` on ``(cell, sum, finish_times, parent_rank, mask)``;
   4. Pareto-prunes every bucket simultaneously: each sweep keeps each
      bucket's first surviving candidate and eliminates its victims
-     bucket-wide, at most ``max_solutions_per_cell`` sweeps total.
+     bucket-wide, at most ``max_solutions_per_cell`` sweeps total
+     (skipped when every bucket holds one candidate).
 
   The chosen plan is reconstructed by walking the parent pointers.
+
+After the last query only the best cell is read, so unless
+:class:`ScheduleStats` are collected (they count every cell's
+frontier) both forms prune that cell alone.
 
 The two forms are **bit-exact**: identical decisions, total utility,
 work units and :class:`ScheduleStats` on every instance. That rests on
@@ -46,27 +60,38 @@ semantics both forms share:
   same number of times share bit-identical finish times. The frontier
   is thus a pure function of the candidate *set*, independent of
   enumeration order.
-* **Matched float effects.** Finish-time sums accumulate left to right
-  (Python's ``sum(tuple)`` order), one ``_EPS`` serves as the dominance
-  and deadline tolerance, and a skip continuation keeps its parent's
-  finish times bit-identically.
+* **Matched float effects.** Each member's finish time is its parent's
+  plus one latency, the same single addition in every form; sums
+  accumulate left to right (Python's ``sum(tuple)`` order); one
+  ``_EPS`` serves as the dominance and deadline tolerance; a skip
+  continuation keeps its parent's finish times bit-identically.
+* **The same feasibility test.** A candidate is infeasible when its
+  latest member finishes after ``deadline - now + _EPS``. Every bumped
+  time is above 0 (busy times are clamped at 0 and latencies are
+  positive), so that holds exactly when some member's bumped time
+  does; an ``inf`` busy time (no deployed worker) fails it.
 * **Unified work units.** One unit per non-empty candidate subset per
-  frontier entry per query; the skip continuation is free (see
-  :class:`~repro.scheduling.problem.ScheduleResult`).
+  frontier entry per query, feasible or not; the skip continuation is
+  free (see :class:`~repro.scheduling.problem.ScheduleResult`).
 * **Unquantised tie-break.** The final plan comes from the cell with
   the largest quantised reward; one function, :func:`_pick_plan`,
   breaks ties among that cell's entries for both forms.
 
-``tests/scheduling/test_dp_vectorized.py`` and
-``benchmarks/bench_sched_throughput.py`` check the kernel against the
-loop form directly (:meth:`DPScheduler.schedule_kernel` against
-:meth:`DPScheduler.schedule_loop`), never through the size dispatch.
+:mod:`repro.scheduling.dp_reference` keeps Algorithm 1 as written:
+every mask tried on every entry, each cell sorted with the canonical
+key spelled out. ``tests/scheduling/test_dp_vectorized.py`` and
+``benchmarks/bench_sched_throughput.py`` check both forms against it,
+calling each form directly (:meth:`DPScheduler.schedule_loop`,
+:meth:`DPScheduler.schedule_kernel`) as well as through the size
+dispatch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add, itemgetter, le
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -78,6 +103,7 @@ from repro.scheduling.problem import (
     ScheduleResult,
     SchedulingInstance,
 )
+from repro.scheduling.subsets import MASK_TABLES_CACHE_SIZE
 from repro.utils.validation import check_positive
 
 _EPS = 1e-12
@@ -90,14 +116,20 @@ _EPS = 1e-12
 #: ``paper_dp`` episodes, the 124 fallback calls of six
 #: ``paper_learned`` episodes, and ``bench_sched_throughput``'s
 #: synthetic instances (1, 2, 3, 4 and 6 models x 1-8 queries) with
-#: tight and with loose deadlines. 48 keeps every set's summed DP time
+#: tight and with loose deadlines. 48 kept every set's summed DP time
 #: within 9% of always picking the faster form (32: 38%, 40: 15%,
-#: 64: 11%), and serving twelve ``paper_dp`` episodes in one process
-#: is 7% faster at 48 than at 40. The synthetic instances carry larger
-#: frontiers than the paper's, so per call they favour a smaller
-#: constant: at 48 a call costs 1-2% more than the faster form on the
-#: paper's sets and 8-17% more on the synthetic ones (geometric
-#: means). ``BENCH_sched.json`` records the per-size crossover.
+#: 64: 11%). Re-measured after both forms came to price each frontier
+#: entry once, on the 8,603 DP calls of one seed-1 ``paper_dp`` cycle
+#: and one ``paper_learned`` cycle (fastest of 5 per call): the loop
+#: form is now the faster one up to eight queries on three models
+#: (size 64) and the kernel from nine, and 48 stays within 6.4% of
+#: always picking the faster form (40: 14%, 56: 5.4%, 64: 4.5%, 96:
+#: 9.1%). It stays 48 because the learned scheduler's size gate reads
+#: the same predicate (:func:`in_loop_form`): moving it would change
+#: which buffers ``paper_learned`` rolls out, and so its records.
+#: ``BENCH_sched.json`` records the per-size crossover on the
+#: synthetic instances, whose larger frontiers favour a smaller
+#: constant.
 LOOP_FORM_MAX_SIZE = 48
 
 
@@ -245,13 +277,45 @@ def _pick_plan(
 
 
 # A loop-form table cell holds canonically ordered Pareto-minimal
-# (finish_times, plan) pairs; candidates also carry the
-# (parent_rank, mask) tie-break keys.
-_Solution = Tuple[Tuple[float, ...], Tuple[int, ...]]
-_Candidate = Tuple[Tuple[float, ...], Tuple[int, ...], int, int]
+# (span, finish_times, plan) entries, ``span`` being the left-to-right
+# finish-time sum. A candidate is (span, finish_times, parent_rank,
+# mask, parent_plan): (parent_rank, mask) is unique within a cell, so
+# plain tuple order is the canonical order and never reaches the plan.
+_Entry = Tuple[float, Tuple[float, ...], Tuple[int, ...]]
+_Candidate = Tuple[float, Tuple[float, ...], int, int, Tuple[int, ...]]
 
 
-def _prune(candidates: List[_Candidate], cap: int) -> List[_Solution]:
+@lru_cache(maxsize=MASK_TABLES_CACHE_SIZE)
+def _submask_tables(n_models: int):
+    """Per ensemble size: for every bitset ``ok`` of models, the
+    non-empty submasks of ``ok`` in ascending order; and for every
+    non-empty mask, a getter that picks its candidate's finish times
+    out of ``times + bumped`` (``bumped[k]`` for members, ``times[k]``
+    for the rest)."""
+    n_masks = 1 << n_models
+    submasks = []
+    for ok in range(n_masks):
+        subs = []
+        sub = ok
+        while sub:
+            subs.append(sub)
+            sub = (sub - 1) & ok
+        submasks.append(tuple(reversed(subs)))
+    if n_models == 1:
+        # itemgetter of one index returns the item, not a 1-tuple.
+        pickers = [None, itemgetter(slice(1, 2))]
+    else:
+        pickers = [None] + [
+            itemgetter(*(
+                k + n_models if mask >> k & 1 else k
+                for k in range(n_models)
+            ))
+            for mask in range(1, n_masks)
+        ]
+    return tuple(submasks), tuple(pickers)
+
+
+def _prune(candidates: List[_Candidate], cap: int) -> List[_Entry]:
     """Canonical order + dominance prune + frontier cap, for one cell.
 
     Vector A dominates B when A is componentwise <= B (+eps): any
@@ -263,22 +327,23 @@ def _prune(candidates: List[_Candidate], cap: int) -> List[_Solution]:
     if len(candidates) == 1:
         # Most cells of a small buffer hold one candidate: its own
         # frontier, with nothing to sort or compare.
-        times, plan, _, _ = candidates[0]
-        return [(times, plan)]
-    candidates = sorted(
-        candidates, key=lambda s: (sum(s[0]), s[0], s[2], s[3])
-    )
-    kept: List[_Solution] = []
-    for times, plan, _, _ in candidates:
-        dominated = False
-        for kept_times, _ in kept:
-            if all(kt <= t + _EPS for kt, t in zip(kept_times, times)):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((times, plan))
-            if len(kept) == cap:
-                break
+        span, times, _, mask, plan = candidates[0]
+        return [(span, times, plan + (mask,))]
+    candidates.sort()
+    kept: List[_Entry] = []
+    for span, times, _, mask, plan in candidates:
+        if kept:
+            shifted = [t + _EPS for t in times]
+            dominated = False
+            for _, kept_times, _ in kept:
+                if all(map(le, kept_times, shifted)):
+                    dominated = True
+                    break
+            if dominated:
+                continue
+        kept.append((span, times, plan + (mask,)))
+        if len(kept) == cap:
+            break
     return kept
 
 
@@ -289,7 +354,7 @@ def _loop_form(
     stats: Optional[ScheduleStats],
     phases: Optional[Dict[str, float]],
 ) -> ScheduleResult:
-    """Algorithm 1 cell by cell and candidate by candidate."""
+    """Algorithm 1 cell by cell, each frontier entry priced once."""
     profile = phases is not None
     if profile:
         t_mark = time.perf_counter()
@@ -298,16 +363,17 @@ def _loop_form(
     # Python floats hold the numpy values' bits and add several times
     # faster than numpy scalars.
     latencies = instance.latencies.tolist()
-    n_masks = 1 << instance.n_models
-    member_lists = instance.masks.members
-    table: Dict[int, List[_Solution]] = {
-        0: [(tuple(instance.busy_until.tolist()), ())]
-    }
+    n_models = instance.n_models
+    n_nonempty = (1 << n_models) - 1
+    submasks, pickers = _submask_tables(n_models)
+    busy = tuple(instance.busy_until.tolist())
+    table: Dict[int, List[_Entry]] = {0: [(sum(busy), busy, ())]}
     if profile:
         phases["mask_tables"] = time.perf_counter() - t_mark
 
     work_units = 0
-    for query in queries:
+    last = len(queries) - 1
+    for level, query in enumerate(queries):
         if profile:
             t_mark = time.perf_counter()
         limit = query.deadline - instance.now + _EPS
@@ -317,30 +383,50 @@ def _loop_form(
         # in ascending-cell order: the kernel's flat row index.
         rank = 0
         for u in sorted(table):
-            for times, plan in table[u]:
-                # The skip continuation is free; every non-empty mask
-                # below is one work unit (unified accounting).
-                work_units += n_masks - 1
-                candidates.setdefault(u, []).append(
-                    (times, plan + (0,), rank, 0)
-                )
-                for mask in range(1, n_masks):
-                    new_times = list(times)
-                    completion = 0.0
-                    for k in member_lists[mask]:
-                        new_times[k] += latencies[k]
-                        if new_times[k] > completion:
-                            completion = new_times[k]
-                    if completion > limit:
-                        continue
-                    candidates.setdefault(u + quantised[mask], []).append(
-                        (tuple(new_times), plan + (mask,), rank, mask)
-                    )
+            for span, times, plan in table[u]:
+                # The skip continuation keeps the entry's times.
+                skip = (span, times, rank, 0, plan)
+                cell = candidates.get(u)
+                if cell is None:
+                    candidates[u] = [skip]
+                else:
+                    cell.append(skip)
+                # The feasible masks are the submasks of ``ok``: the
+                # per-mask deadline test, exactly, since every bumped
+                # time is above 0 (see the module docstring).
+                bumped = tuple(map(add, times, latencies))
+                ok = 0
+                bit = 1
+                for t in bumped:
+                    if t <= limit:
+                        ok |= bit
+                    bit <<= 1
+                if ok:
+                    both = times + bumped
+                    for mask in submasks[ok]:
+                        new_times = pickers[mask](both)
+                        candidate = (
+                            sum(new_times), new_times, rank, mask, plan
+                        )
+                        target = u + quantised[mask]
+                        cell = candidates.get(target)
+                        if cell is None:
+                            candidates[target] = [candidate]
+                        else:
+                            cell.append(candidate)
                 rank += 1
+        # The skip continuation is free; every non-empty mask is one
+        # work unit per entry, feasible or not (unified accounting).
+        work_units += rank * n_nonempty
         if profile:
             t_prune = time.perf_counter()
             phases["extend"] += t_prune - t_mark
-        table = {u: _prune(cell, cap) for u, cell in candidates.items()}
+        if level == last and stats is None:
+            # Only the best cell is read after the last level.
+            best = max(candidates)
+            table = {best: _prune(candidates[best], cap)}
+        else:
+            table = {u: _prune(cell, cap) for u, cell in candidates.items()}
         if profile:
             phases["prune"] += time.perf_counter() - t_prune
         if stats is not None:
@@ -353,7 +439,7 @@ def _loop_form(
         t_mark = time.perf_counter()
     result = _pick_plan(
         queries,
-        ((plan, sum(times)) for times, plan in table[max(table)]),
+        ((plan, span) for span, _, plan in table[max(table)]),
         work_units,
     )
     if profile:
@@ -379,7 +465,9 @@ def _kernel_form(
     n_models = instance.n_models
     n_masks = 1 << n_models
     membership = instance.mask_membership  # (n_masks, m) bool
-    increments = instance.mask_increments  # (n_masks, m) float
+    latencies = instance.latencies
+    all_masks = np.arange(n_masks)
+    model_bits = 1 << np.arange(n_models)
     quantised = instance.quantised_utilities(step)[np.asarray(order)]
     if profile:
         phases["mask_tables"] = time.perf_counter() - t_mark
@@ -389,22 +477,21 @@ def _kernel_form(
     parents: List[np.ndarray] = []
     masks: List[np.ndarray] = []
     work_units = 0
+    last = len(queries) - 1
     for qi, query in enumerate(queries):
-        relative_deadline = query.deadline - instance.now
+        limit = query.deadline - instance.now + _EPS
         du = quantised[qi]  # (n_masks,) int64
         work_units += frontier.shape[0] * (n_masks - 1)
 
-        # Extend every frontier entry by every mask in one shot.
-        # Increment row 0 is all zeros, so the skip continuation
-        # keeps its parent's finish times bit-identically.
+        # Price each entry once: a mask is feasible iff all its members'
+        # bumped times meet the limit (the loop form's bitset test), so
+        # only feasible (entry, mask) pairs are ever materialised. Mask
+        # 0 is a submask of every bitset: skipping is always allowed.
         if profile:
             t_mark = time.perf_counter()
-        cand = frontier[:, None, :] + increments[None, :, :]
-        completion = np.where(
-            membership[None, :, :], cand, -np.inf
-        ).max(axis=2)
-        feasible = completion <= relative_deadline + _EPS
-        feasible[:, 0] = True  # skipping is always allowed
+        bumped = frontier + latencies
+        ok = (bumped <= limit) @ model_bits
+        feasible = (ok[:, None] & all_masks) == all_masks
         if profile:
             phases["extend"] += time.perf_counter() - t_mark
         if stats is not None:
@@ -412,11 +499,20 @@ def _kernel_form(
                 np.nonzero(feasible.any(axis=0))[0].tolist()
             )
 
+        # A candidate takes its members' bumped times and keeps its
+        # parent's other times bit-identically (mask 0 keeps them all).
         if profile:
             t_mark = time.perf_counter()
         sol_idx, mask_idx = np.nonzero(feasible)
-        cand_times = cand[sol_idx, mask_idx, :]
         target_u = cell_u[sol_idx] + du[mask_idx]
+        if qi == last and stats is None:
+            # Only the best cell is read after the last level.
+            top = np.flatnonzero(target_u == target_u.max())
+            sol_idx, mask_idx = sol_idx[top], mask_idx[top]
+            target_u = target_u[top]
+        cand_times = np.where(
+            membership[mask_idx], bumped[sol_idx], frontier[sol_idx]
+        )
         sums = _left_to_right_sum(cand_times)
         if profile:
             phases["extend"] += time.perf_counter() - t_mark
@@ -437,14 +533,17 @@ def _kernel_form(
         mask_s = mask_idx[by_cell]
         times_s = cand_times[by_cell]
         u_s = target_u[by_cell]
-        bucket_starts = np.concatenate(
-            [[0], np.nonzero(np.diff(u_s))[0] + 1, [u_s.shape[0]]]
-        )
-        kept = _prune_buckets(times_s, bucket_starts, cap)
-        frontier = times_s[kept]
-        cell_u = u_s[kept]
-        parents.append(sol_s[kept])
-        masks.append(mask_s[kept])
+        edges = np.flatnonzero(u_s[1:] != u_s[:-1]) + 1
+        if edges.size + 1 < u_s.size:
+            # Some bucket holds more than one candidate.
+            kept = _prune_buckets(
+                times_s, np.concatenate([[0], edges, [u_s.size]]), cap
+            )
+            sol_s, mask_s = sol_s[kept], mask_s[kept]
+            times_s, u_s = times_s[kept], u_s[kept]
+        frontier, cell_u = times_s, u_s
+        parents.append(sol_s)
+        masks.append(mask_s)
         if profile:
             phases["prune"] += time.perf_counter() - t_mark
         if stats is not None:
@@ -454,7 +553,6 @@ def _kernel_form(
         t_mark = time.perf_counter()
     rows = np.nonzero(cell_u == cell_u.max())[0]
     spans = _left_to_right_sum(frontier[rows])
-    last = len(queries) - 1
     result = _pick_plan(
         queries,
         (
@@ -486,14 +584,16 @@ class DPScheduler:
             N queries, guaranteeing a (1 − ε) approximation at every
             buffer size instead of only at one.
         epsilon: Approximation target used when ``delta`` is None.
-        max_solutions_per_cell: Safety cap on a cell's Pareto frontier;
-            the first entries in canonical order are kept.
+        max_solutions_per_cell: Safety cap on a cell's Pareto frontier,
+            an integer >= 1; the first entries in canonical order are
+            kept.
 
     Setting :attr:`collect_stats` makes each ``schedule()`` call leave
     a :class:`ScheduleStats` in :attr:`last_stats` (frontier sizes,
     reward cells, per-query candidate masks). The flag is checked once
-    per call plus once per query, so the disabled path — the default —
-    costs two predictable branches and stays bit-identical.
+    per call plus a few times per query. With it on, the last level
+    prunes every cell, not only the best one, to count their
+    frontiers; the plan is bit-identical either way.
 
     Setting :attr:`profile` additionally wraps the four internal step
     phases (:data:`DP_PHASES`) in ``perf_counter`` timers. Each call
@@ -515,12 +615,17 @@ class DPScheduler:
     ):
         self.delta = None if delta is None else check_positive("delta", delta)
         self.epsilon = check_positive("epsilon", epsilon)
-        if max_solutions_per_cell < 1:
+        # A count, not a flag: bool is refused although it is an int.
+        if (
+            isinstance(max_solutions_per_cell, bool)
+            or not isinstance(max_solutions_per_cell, (int, np.integer))
+            or max_solutions_per_cell < 1
+        ):
             raise ValueError(
-                f"max_solutions_per_cell must be >= 1, got "
-                f"{max_solutions_per_cell}"
+                f"max_solutions_per_cell must be an integer >= 1, got "
+                f"{max_solutions_per_cell!r}"
             )
-        self.max_solutions_per_cell = max_solutions_per_cell
+        self.max_solutions_per_cell = int(max_solutions_per_cell)
         self.collect_stats = False
         self.last_stats: Optional[ScheduleStats] = None
         self.profile = False

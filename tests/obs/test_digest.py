@@ -106,6 +106,40 @@ class TestAccuracySynthetic:
         assert sizes[-1] <= sizes[0] + 32
 
 
+def rank_error(digest, values, q):
+    """How far the estimate's rank in ``values`` (its mid-rank among
+    ties), as a share of the stream, lies from ``q``."""
+    ordered = np.sort(values)
+    estimate = digest.quantile(q)
+    rank = (
+        np.searchsorted(ordered, estimate, "left")
+        + np.searchsorted(ordered, estimate, "right")
+    ) / 2
+    return abs(rank / ordered.shape[0] - q)
+
+
+class TestRankBound:
+    """The bound the digest keeps whatever the shape: each report
+    percentile's estimate ranks within 1% of its quantile. Relative
+    error has no such bound: on a two-mode latency, where a rank step
+    can cross a gap between values, it reached 2.1% at p50 for one
+    digest and 3.8% for a four-shard merge on ``control_burst``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_mode_stream_single_and_four_way_merge(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 9_000
+        fast = rng.random(n) < 0.72
+        values = np.where(fast, 0.005, 0.092) * rng.lognormal(0, 0.15, n)
+        single = fill(values)
+        merged = QuantileDigest()
+        merged.merge(*(fill(values[k::4]) for k in range(4)))
+        assert merged.count == n
+        for q in (0.5, 0.95, 0.99):
+            assert rank_error(single, values, q) <= 0.01, f"q={q}"
+            assert rank_error(merged, values, q) <= 0.01, f"q={q}"
+
+
 class TestDeterminismAndMerge:
     def test_deterministic(self):
         def build():

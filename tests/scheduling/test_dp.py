@@ -5,6 +5,7 @@ import pytest
 
 from repro.scheduling.bruteforce import BruteForceScheduler
 from repro.scheduling.dp import DPScheduler
+from repro.scheduling.dp_reference import DPReferenceScheduler
 from repro.scheduling.greedy import GreedyScheduler
 from repro.scheduling.problem import (
     QueryRequest,
@@ -105,6 +106,41 @@ class TestDPScheduler:
             DPScheduler(delta=0.0)
         with pytest.raises(ValueError):
             DPScheduler(max_solutions_per_cell=0)
+
+
+def solver(form, **params):
+    """One form of the DP, built with ``params``: ``reference`` is
+    :class:`DPReferenceScheduler`, the rest name ``DPScheduler``
+    methods."""
+    if form == "reference":
+        return DPReferenceScheduler(**params).schedule
+    return getattr(DPScheduler(**params), form)
+
+
+FORMS = ["schedule", "schedule_loop", "schedule_kernel", "reference"]
+
+
+class TestFrontierCap:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("cap", [2.5, 1.0, True])
+    def test_non_integral_cap_refused(self, form, cap):
+        """The cap is a count. A float or bool one used to be accepted
+        and read differently per form: 2.5 left the loop form uncapped
+        and raised ``TypeError`` in the kernel."""
+        with pytest.raises(
+            ValueError, match="max_solutions_per_cell must be an integer"
+        ):
+            solver(form, max_solutions_per_cell=cap)(random_instance(9, 3, 0))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_numpy_integer_cap_accepted(self, form):
+        instance = random_instance(9, 3, 0)
+        plain = solver(form, max_solutions_per_cell=2)(instance)
+        numpy_cap = solver(form, max_solutions_per_cell=np.int64(2))(instance)
+        assert [d.mask for d in numpy_cap.decisions] == [
+            d.mask for d in plain.decisions
+        ]
+        assert numpy_cap.work_units == plain.work_units
 
 
 class TestAdaptiveDelta:

@@ -1,9 +1,11 @@
-"""The DP's two forms: bit-exact parity, approximation bound, and the
+"""The DP's forms: bit-exact parity, approximation bound, and the
 tie-break regressions the kernel rewrite fixed.
 
-Parity runs the kernel (``schedule_kernel``) against the loop form
-(``schedule_loop``) directly: through the size dispatch both sides of
-a small instance would run the loop form.
+Parity runs each served form directly (``schedule_loop``,
+``schedule_kernel``) and through the size dispatch (``schedule``), and
+checks them against the reference (:class:`DPReferenceScheduler`,
+Algorithm 1 as written): through the dispatch alone both sides of a
+small instance would run the loop form.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling.bruteforce import BruteForceScheduler
-from repro.scheduling.dp import DPScheduler
+from repro.scheduling.dp import _EPS, DPScheduler
 from repro.scheduling.dp_reference import DPReferenceScheduler
 from repro.scheduling.problem import QueryRequest, SchedulingInstance
 from tests.scheduling._synthetic import random_instance
@@ -37,7 +39,7 @@ def randomized_instance(seed, max_queries=8, max_models=4):
     )
 
 
-def random_queries(rng, n, m):
+def random_queries(rng, n, m, now=0.0):
     """``n`` queries with two-decimal rewards: quantised ties are
     common, the case the canonical order and final tie-break exist
     for."""
@@ -47,19 +49,49 @@ def random_queries(rng, n, m):
         utilities[1:] = np.round(rng.uniform(0.0, 1.0, size=(1 << m) - 1), 2)
         queries.append(QueryRequest(
             query_id=qid,
-            arrival=0.0,
-            deadline=float(rng.uniform(0.05, 0.6)),
+            arrival=now,
+            deadline=now + float(rng.uniform(0.05, 0.6)),
             utilities=utilities,
         ))
     return queries
 
 
+#: Offsets of a boundary deadline from a candidate's completion time:
+#: on it, and one and two ``_EPS`` either side of the tolerance.
+BOUNDARY_OFFSETS = (0.0, -1e-12, 1e-12, -2e-12, 2e-12)
+
+
+def tied_deadline(now, completion):
+    """A deadline whose limit ``(deadline - now) + _EPS`` equals
+    ``completion`` exactly, where a few ulps of search find one (the
+    limits reachable from a large ``now`` are coarser than
+    ``completion``'s ulp): a completion on the limit is feasible."""
+    deadline = now + completion - _EPS
+    for _ in range(8):
+        limit = (deadline - now) + _EPS
+        if limit == completion:
+            break
+        deadline = float(np.nextafter(
+            deadline, np.inf if limit < completion else -np.inf
+        ))
+    return deadline
+
+
 @st.composite
 def adversarial_instances(draw):
-    """1-12 queries on 1-4 models, with equal latencies (finish-time
-    collisions) and downed models (+inf busy time) drawn as flags."""
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 4))
+    """1-12 queries on 1-4 models, or 1-3 on 5-6, at ``now`` 0, 3.7 or
+    1234.5678, with equal latencies (finish-time collisions) and downed
+    models (+inf busy time) drawn as flags.
+
+    With ``boundary`` drawn, every deadline sits on, or one or two
+    ``_EPS`` beside, the completion time of some run of its model
+    (busy time plus one to three latencies, added as the DP adds
+    them), or makes that completion equal the DP's limit: where the
+    loop form's per-model bitset test must agree with the kernel's and
+    the reference's per-mask maximum."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12 if m <= 4 else 3))
+    now = draw(st.sampled_from([0.0, 3.7, 1234.5678]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         latencies = np.full(m, 0.05)
@@ -68,9 +100,23 @@ def adversarial_instances(draw):
     busy = rng.uniform(0.0, 0.1, size=m)
     downed = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
     busy[downed] = np.inf
-    return SchedulingInstance(
-        random_queries(rng, n, m), latencies, busy, now=0.0
-    )
+    queries = random_queries(rng, n, m, now)
+    boundary = draw(st.booleans())
+    if boundary:
+        for query in queries:
+            k = int(rng.integers(0, m))
+            completion = float(busy[k])
+            for _ in range(int(rng.integers(1, 4))):
+                completion += float(latencies[k])
+            if not np.isfinite(completion):
+                continue
+            if rng.random() < 0.4:
+                query.deadline = tied_deadline(now, completion)
+            else:
+                query.deadline = now + completion + float(
+                    rng.choice(BOUNDARY_OFFSETS)
+                )
+    return SchedulingInstance(queries, latencies, busy, now=now)
 
 
 def assert_identical(vec, ref):
@@ -82,17 +128,26 @@ def assert_identical(vec, ref):
     assert vec.work_units == ref.work_units
 
 
-def assert_forms_agree(scheduler, instance):
-    """Kernel, loop form and dispatched ``schedule`` return the same
-    plan, utility, work units and ``ScheduleStats``."""
-    scheduler.collect_stats = True
-    kernel = scheduler.schedule_kernel(instance)
-    kernel_stats = scheduler.last_stats
-    for solve in (scheduler.schedule_loop, scheduler.schedule):
-        assert_identical(solve(instance), kernel)
-        assert scheduler.last_stats == kernel_stats
+def assert_forms_agree(instance, **params):
+    """The reference, the loop form, the kernel and the dispatched
+    ``schedule`` return the same plan, utility, work units and
+    ``ScheduleStats``; and each form's plan is the same without
+    stats."""
+    reference = DPReferenceScheduler(**params)
+    scheduler = DPScheduler(**params)
+    reference.collect_stats = True
+    expected = reference.schedule(instance)
+    expected_stats = reference.last_stats
+    for solve in (
+        scheduler.schedule_loop, scheduler.schedule_kernel, scheduler.schedule
+    ):
+        scheduler.collect_stats = True
+        assert_identical(solve(instance), expected)
+        assert scheduler.last_stats == expected_stats
+        scheduler.collect_stats = False
+        assert_identical(solve(instance), expected)
     # Mask 0 (skip) is a candidate at every level.
-    assert all(masks[0] == 0 for masks in kernel_stats.candidate_masks)
+    assert all(masks[0] == 0 for masks in expected_stats.candidate_masks)
 
 
 class TestVectorizedParity:
@@ -134,20 +189,19 @@ class TestVectorizedParity:
     @given(
         instance=adversarial_instances(),
         delta=st.sampled_from([0.01, 0.05, 0.25, None]),
-        cap=st.sampled_from([1, 8]),
+        cap=st.sampled_from([1, 2, 8]),
     )
     def test_forms_agree_on_adversarial_instances(self, instance, delta, cap):
         assert_forms_agree(
-            DPScheduler(delta=delta, max_solutions_per_cell=cap), instance
+            instance, delta=delta, max_solutions_per_cell=cap
         )
 
     @pytest.mark.parametrize("n_queries", range(1, 9))
     def test_forms_agree_on_paper_shaped_instances(self, n_queries):
         """The paper's workload: three models, one to eight queries,
         monotone utilities."""
-        scheduler = DPScheduler(delta=0.01)
         for seed in range(5):
-            assert_forms_agree(scheduler, random_instance(n_queries, 3, seed))
+            assert_forms_agree(random_instance(n_queries, 3, seed), delta=0.01)
 
 
 class TestApproximationBound:
