@@ -16,7 +16,8 @@ both sides of a small instance. Three checks:
   kernel and the loop form must each return exactly the same
   decisions, total utility and work units as the reference. Not
   "close": equal.
-* **Speedup** — min-of-N interleaved timing over a buffer-size grid;
+* **Speedup** — min-of-N interleaved timing over a buffer-size grid,
+  N large enough that each form accumulates ``MIN_TIMED_S`` of work;
   the kernel must beat the reference by ``MIN_SPEEDUP`` at every grid
   point at or above 16 queries / 4 models (full mode only — CI
   runners are too noisy for an absolute floor).
@@ -75,6 +76,10 @@ INSTANCES_PER_POINT = 4
 REPEATS = 3
 INSTANCES_PER_POINT_QUICK = 2
 REPEATS_QUICK = 2
+# Timed work each form accumulates per grid point before its minimum
+# counts: the 4x2 point times ~2 ms a pass, so a single host stall
+# would otherwise decide its regression gate.
+MIN_TIMED_S = 0.25
 
 # Serving-scale buffers: kernel only (the reference would take minutes
 # per instance), timed per-instance and gated on the ratio to the
@@ -183,25 +188,33 @@ def check_parity(n_instances):
     }, not mismatches
 
 
-def best_times(forms, instances, repeats):
-    """Min-of-``repeats`` seconds per ``(name, solve)`` form over
-    ``instances``, the forms interleaved. One call per form on the first
-    instance warms the per-instance mask/quantisation caches, so the
-    timed region measures scheduling, not one-off table construction."""
+def best_times(forms, instances, repeats, min_timed_s=0.0):
+    """Min-of-N seconds per ``(name, solve)`` form over ``instances``,
+    the forms interleaved, and N. Passes run at least ``repeats``
+    times and go on until every form has accumulated ``min_timed_s``
+    of timed work. One call per form on the first instance warms the
+    per-instance mask/quantisation caches, so the timed region
+    measures scheduling, not one-off table construction."""
     for _, solve in forms:
         solve(instances[0])
     best = {name: float("inf") for name, _ in forms}
-    for _ in range(repeats):
+    timed = dict.fromkeys(best, 0.0)
+    rounds = 0
+    while rounds < repeats or min(timed.values()) < min_timed_s:
         for name, solve in forms:
             start = time.perf_counter()
             for instance in instances:
                 solve(instance)
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
+            elapsed = time.perf_counter() - start
+            best[name] = min(best[name], elapsed)
+            timed[name] += elapsed
+        rounds += 1
+    return best, rounds
 
 
 def time_grid(grid, instances_per_point, repeats):
-    """Min-of-N interleaved timing of both forms per grid point."""
+    """Min-of-N interleaved timing of both forms per grid point, N at
+    least ``repeats`` and enough for ``MIN_TIMED_S`` of work a form."""
     results = []
     for n_queries, n_models in grid:
         rng = np.random.default_rng(7 * n_queries + n_models)
@@ -209,21 +222,21 @@ def time_grid(grid, instances_per_point, repeats):
             make_instance(rng, n_queries, n_models)
             for _ in range(instances_per_point)
         ]
-        best = best_times(
+        best, rounds = best_times(
             (
                 ("vectorized",
                  DPScheduler(delta=TIMING_DELTA).schedule_kernel),
                 ("reference",
                  DPReferenceScheduler(delta=TIMING_DELTA).schedule),
             ),
-            instances, repeats,
+            instances, repeats, MIN_TIMED_S,
         )
         results.append({
             "n_queries": n_queries,
             "n_models": n_models,
             "delta": TIMING_DELTA,
             "instances": instances_per_point,
-            "repeats": repeats,
+            "repeats": rounds,
             "vectorized_s": best["vectorized"],
             "reference_s": best["reference"],
             "speedup": best["reference"] / best["vectorized"],
@@ -284,7 +297,7 @@ def time_crossover(instances_per_point, repeats):
                     for _ in range(instances_per_point)
                 ]
                 scheduler = DPScheduler(delta=TIMING_DELTA)
-                best = best_times(
+                best, _ = best_times(
                     (
                         ("kernel", scheduler.schedule_kernel),
                         ("loop", scheduler.schedule_loop),

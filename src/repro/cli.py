@@ -8,15 +8,14 @@ Usage::
     python -m repro day --task text_matching
     python -m repro schedulers --task text_matching
     python -m repro budget --task vehicle_counting
-    python -m repro trace --task text_matching [--policy schemble]
+    python -m repro trace --task text_matching [--policy schemble] [--profile] [--live]
     python -m repro faults --task text_matching [--rates 0,0.05,0.15,0.3]
     python -m repro explain QUERY_ID --decisions traces/..._decisions.jsonl
     python -m repro slo --spans traces/..._spans.jsonl [--slo-target 0.05]
-    python -m repro profile --task text_matching [--spans traces/..._spans.jsonl]
+    python -m repro profile --spans traces/..._spans.jsonl [--top 5]
     python -m repro diff traces/base_profile.json traces/new_profile.json
-    python -m repro fleet --task text_matching [--shards 4] [--control]
+    python -m repro fleet --task text_matching [--shards 4] [--control] [--live]
     python -m repro distill --task text_matching [--decisions traces/..._decisions.jsonl]
-    python -m repro top --mode control [--once] [--serve-metrics PORT]
     python -m repro incident traces/..._incident_00.json
 
 Each command builds the task setup (training the models on first use),
@@ -39,11 +38,12 @@ episodes appear in the report. ``explain`` pretty-prints the decision
 records of one query id; ``slo`` replays a recorded span stream through
 the monitor offline.
 
-``profile`` runs a profiled serving run (or attributes an existing span
-dump with ``--spans``) and prints the per-query latency attribution:
-phase breakdown, DP step-phase wall clock, and the top-K blame report
-with critical-path chains; it writes a ``*_profile.json`` artifact.
-``diff`` compares two such artifacts (or raw span dumps) and flags
+``trace --profile`` profiles the run (DP step-phase timers on) and
+appends the per-query latency attribution: phase breakdown, DP
+step-phase wall clock, and the top-K blame report with critical-path
+chains; it writes a ``*_profile.json`` artifact beside the spans.
+``profile --spans`` attributes an existing span dump offline the same
+way. ``diff`` compares two such artifacts (or raw span dumps) and flags
 phase-level regressions with noise-floored thresholds, exiting 1 when
 any are found — the CI regression gate.
 
@@ -80,14 +80,15 @@ reproduces the DP run bit-exactly).
 ``trace`` and ``fleet`` take ``--live`` to attach the live telemetry
 plane (:mod:`repro.obs.live`): streaming snapshots at ``--cadence``
 simulated seconds, the always-on flight recorder, and breach-triggered
-incident bundles, all written next to the other artifacts.
-``--serve-metrics PORT`` additionally exposes ``/metrics`` (Prometheus
-text) and ``/snapshot`` (JSON) over HTTP on a daemon thread while the
-run executes (``--serve-hold`` keeps the endpoint up after the run so
-scripts can scrape a finished run). ``top`` is the live console: it
-runs a workload (``--mode trace|fleet|control``) in a worker thread
-and repaints per-source rates, quantiles and the incident tally;
-``--once`` runs to completion and prints a single frame (CI-friendly).
+incident bundles, all written next to the other artifacts (a fleet's
+shard planes beside each shard's spans). A live run ends with the live
+console's frame: per-source rates, quantiles and the incident tally,
+one row per plane. When stdout is a terminal the run goes on a worker
+thread and the console repaints while it goes.
+``--serve-metrics PORT`` implies ``--live`` and additionally exposes
+``/metrics`` (Prometheus text) and ``/snapshot`` (JSON) over HTTP on a
+daemon thread while the run executes (``--serve-hold`` keeps the
+endpoint up after the run so scripts can scrape a finished run).
 ``incident`` is the post-mortem: it pretty-prints a frozen incident
 bundle and re-derives the full latency profile from the bundle's
 flight-recorder spans.
@@ -110,7 +111,7 @@ from repro.metrics.tables import format_table
 COMMANDS = (
     "list", "table1", "sweep", "day", "schedulers", "budget", "trace",
     "faults", "explain", "slo", "profile", "diff", "fleet", "distill",
-    "top", "incident",
+    "incident",
 )
 
 TRACE_POLICIES = (
@@ -180,15 +181,15 @@ def _add_scheduler_args(parser: argparse.ArgumentParser):
     )
 
 
-def _add_live_args(parser: argparse.ArgumentParser, opt_in: bool = True):
-    """Live telemetry knobs shared by ``trace``/``fleet``/``top``."""
-    if opt_in:
-        parser.add_argument(
-            "--live", action="store_true",
-            help="attach the live telemetry plane: streaming "
-            "snapshots, flight recorder and incident bundles "
-            "(written next to the other artifacts)",
-        )
+def _add_live_args(parser: argparse.ArgumentParser):
+    """Live telemetry knobs shared by ``trace`` and ``fleet``."""
+    parser.add_argument(
+        "--live", action="store_true",
+        help="attach the live telemetry plane: streaming snapshots, "
+        "flight recorder and incident bundles (written next to the "
+        "other artifacts), and end with the live console's frame "
+        "(repainted while the run goes on a terminal)",
+    )
     parser.add_argument(
         "--cadence", type=float, default=1.0,
         help="simulated seconds between telemetry snapshots "
@@ -283,6 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=17,
         help="seed of the fault plan RNG (default: 17)",
     )
+    trace.add_argument(
+        "--profile", action="store_true",
+        help="profile the run: DP step-phase timers on, a "
+        "*_profile.json artifact beside the spans and the latency "
+        "attribution report appended (input for `diff`)",
+    )
     _add_slo_args(trace)
     _add_live_args(trace)
 
@@ -333,34 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="per-query latency attribution, critical paths and the "
-        "blame report (live profiled run, or offline from a span dump)",
-    )
-    _add_common(profile)
-    profile.add_argument(
-        "--policy", choices=TRACE_POLICIES, default="schemble",
-        help="serving policy to profile (default: schemble)",
+        "blame report of a span dump (`trace --profile` profiles a "
+        "fresh run)",
     )
     profile.add_argument(
-        "--spans", default=None,
-        help="attribute an existing span JSONL offline instead of "
-        "running a fresh profiled serving run",
-    )
-    profile.add_argument(
-        "--out", default="traces",
-        help="output directory for the span dump and profile artifact",
+        "--spans", required=True,
+        help="span JSONL written by `trace` or `fleet` (*_spans.jsonl); "
+        "the profile artifact is written beside it",
     )
     profile.add_argument(
         "--top", type=int, default=5,
         help="blame report entries (default: 5)",
-    )
-    _add_fault_args(profile)
-    profile.add_argument(
-        "--failure-rate", type=float, default=0.0,
-        help="transient per-task failure probability (default: 0)",
-    )
-    profile.add_argument(
-        "--fault-seed", type=int, default=17,
-        help="seed of the fault plan RNG (default: 17)",
     )
 
     fleet = sub.add_parser(
@@ -455,56 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of scheduling rounds held out for model "
         "selection (default: 0.25)",
     )
-
-    top = sub.add_parser(
-        "top",
-        help="live console: run a workload and watch per-source "
-        "rates, quantiles and incidents from the telemetry plane",
-    )
-    _add_common(top)
-    top.add_argument(
-        "--mode", choices=("trace", "fleet", "control"), default="trace",
-        help="workload to watch: one traced server, a static fleet, "
-        "or the controlled fleet (default: trace)",
-    )
-    top.add_argument(
-        "--policy", choices=TRACE_POLICIES, default="schemble",
-        help="serving policy to run (default: schemble)",
-    )
-    top.add_argument(
-        "--shards", type=int, default=4,
-        help="fleet size for --mode fleet/control (default: 4)",
-    )
-    top.add_argument(
-        "--router", choices=("hash", "power_of_two", "score_aware"),
-        default="power_of_two",
-        help="front-end router for --mode fleet/control "
-        "(default: power_of_two)",
-    )
-    top.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="admission capacity per shard (default: 64)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0,
-        help="controller decision period for --mode control "
-        "(default: 1.0)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="run to completion and print one final frame instead of "
-        "repainting live (CI-friendly)",
-    )
-    top.add_argument(
-        "--refresh", type=float, default=0.5,
-        help="wall-clock seconds between live repaints (default: 0.5)",
-    )
-    top.add_argument(
-        "--out", default=None,
-        help="when set, write the snapshot stream (JSONL) and every "
-        "incident bundle to this directory",
-    )
-    _add_live_args(top, opt_in=False)
 
     incident = sub.add_parser(
         "incident",
@@ -683,8 +623,7 @@ def _live_plane(args, source: str = "server"):
     ``--serve-metrics`` implies ``--live``: an endpoint without the
     plane could only serve final metrics, never snapshots.
     """
-    wants = getattr(args, "live", False) or args.serve_metrics is not None
-    if not wants:
+    if not args.live and args.serve_metrics is None:
         return None
     from repro.obs import LiveConfig, LiveTelemetry
 
@@ -717,9 +656,53 @@ def _stop_metrics_server(server, hold: float) -> None:
     server.stop()
 
 
+#: Wall-clock seconds between repaints of a live run's console.
+REFRESH_S = 0.5
+
+
+def _run_live(run, live):
+    """Return ``run()``; on a terminal, repaint the live console meanwhile.
+
+    Without a plane, or when stdout is not a terminal, the run goes on
+    this thread. Otherwise it goes on a daemon thread, so Ctrl-C
+    aborts the command, while this thread repaints the console from
+    the plane and the planes it merges every ``REFRESH_S`` until the
+    run ends.
+    """
+    if live is None or not sys.stdout.isatty():
+        return run()
+    import threading
+
+    from repro.obs import render_top
+
+    box = {}
+
+    def work():
+        try:
+            box["result"] = run()
+        except BaseException as exc:  # re-raised on this thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    while True:
+        # Clear screen + home, then repaint.
+        print("\x1b[2J\x1b[H" + render_top(live.sources), flush=True)
+        thread.join(REFRESH_S)
+        if not thread.is_alive():
+            break
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
 def _live_footer(live, written) -> List[str]:
-    """Footer lines for a run that carried a live plane."""
-    lines = [f"wrote {path}" for path in written]
+    """Footer lines for a run that carried a live plane: the console's
+    final frame, then the plane's artifacts and incident tally."""
+    from repro.obs import render_top
+
+    lines = ["", render_top(live.sources), ""]
+    lines += [f"wrote {path}" for path in written]
     lines.append(
         f"live telemetry: {len(live.snapshots)} snapshots, "
         f"{len(live.incidents)} incident bundle"
@@ -743,6 +726,7 @@ def _cmd_trace(args) -> str:
     from repro.experiments.runner import RunSpec, run_spec
     from repro.obs import (
         DecisionLog,
+        LatencyAttributor,
         RecordingTracer,
         render_report,
         write_chrome_trace,
@@ -773,13 +757,18 @@ def _cmd_trace(args) -> str:
         regret_threshold=args.regret_threshold,
     )
     live = _live_plane(args)
-    tracer = RecordingTracer(slo=_slo_monitor(args), live=live)
+    tracer = RecordingTracer(
+        slo=_slo_monitor(args), profile=args.profile, live=live
+    )
     explain_log = DecisionLog()
     if live is not None:
         # Bundles then embed the blamed queries' decision records.
         live.attach_decisions(explain_log)
     metrics_server = _start_metrics_server(args, tracer)
-    result = run_spec(setup, spec, tracer=tracer, explain=explain_log)
+    result = _run_live(
+        lambda: run_spec(setup, spec, tracer=tracer, explain=explain_log),
+        live,
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -822,6 +811,13 @@ def _cmd_trace(args) -> str:
             f"({100 * rate:.1f}% fallback rate over {offered} offered "
             f"calls, threshold {args.regret_threshold:g})"
         )
+    if args.profile:
+        footer_lines.append("")
+        footer_lines.extend(_profile_lines(
+            LatencyAttributor.from_tracer(tracer),
+            out_dir / f"{stem}_profile.json",
+            top_k=5,
+        ))
     if live is not None:
         footer_lines.extend(
             _live_footer(live, live.write_artifacts(out_dir, stem))
@@ -933,64 +929,36 @@ def _cmd_slo(args) -> str:
     return header + "\n" + render_slo(monitor)
 
 
-def _cmd_profile(args) -> str:
-    from repro.obs import (
-        LatencyAttributor,
-        render_profile,
-        write_profile_json,
-    )
-
-    if args.spans is not None:
-        spans_path = Path(args.spans)
-        if not spans_path.exists():
-            raise SystemExit(f"no span dump at {spans_path}")
-        attributor = LatencyAttributor.from_jsonl(spans_path)
-        stem = spans_path.name
-        for suffix in ("_spans.jsonl", ".jsonl"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
-        artifact_path = spans_path.parent / f"{stem}_profile.json"
-        written = [artifact_path]
-    else:
-        from repro.experiments.runner import RunSpec, run_spec
-        from repro.obs import RecordingTracer, write_spans_jsonl
-        from repro.serving.config import ServerConfig
-
-        setup = build_setup(args.task, args.preset, seed=args.seed)
-        workers = setup.workers_for(args.policy)
-        n_workers = len(workers) if workers is not None else setup.n_models
-        plan = _fault_plan(args, n_workers=n_workers, duration=args.duration)
-        spec = RunSpec(
-            policy=args.policy,
-            config=ServerConfig(
-                faults=plan,
-                task_timeout=args.timeout,
-                max_retries=args.retries,
-            ),
-            duration=args.duration,
-            seed=args.seed + 5,
-        )
-        tracer = RecordingTracer(profile=True)
-        run_spec(setup, spec, tracer=tracer)
-
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stem = f"{args.task}_{args.policy}"
-        spans_path = write_spans_jsonl(
-            tracer.spans, out_dir / f"{stem}_spans.jsonl"
-        )
-        attributor = LatencyAttributor.from_tracer(tracer)
-        artifact_path = out_dir / f"{stem}_profile.json"
-        written = [spans_path, artifact_path]
+def _profile_lines(attributor, artifact_path: Path, top_k: int) -> List[str]:
+    """Write the profile artifact; return the attribution report and the
+    lines naming the artifact."""
+    from repro.obs import render_profile, write_profile_json
 
     write_profile_json(attributor.to_artifact(), artifact_path)
-    report = render_profile(attributor, top_k=args.top)
-    footer = "\n".join([""] + [f"wrote {path}" for path in written] + [
+    return [
+        render_profile(attributor, top_k=top_k),
+        f"wrote {artifact_path}",
         f"diff against another run with `python -m repro diff "
         f"{artifact_path} OTHER_profile.json`",
-    ])
-    return report + footer
+    ]
+
+
+def _cmd_profile(args) -> str:
+    from repro.obs import LatencyAttributor
+
+    spans_path = Path(args.spans)
+    if not spans_path.exists():
+        raise SystemExit(f"no span dump at {spans_path}")
+    stem = spans_path.name
+    for suffix in ("_spans.jsonl", ".jsonl"):
+        if stem.endswith(suffix):
+            stem = stem[: -len(suffix)]
+            break
+    return "\n".join(_profile_lines(
+        LatencyAttributor.from_jsonl(spans_path),
+        spans_path.parent / f"{stem}_profile.json",
+        top_k=args.top,
+    ))
 
 
 def _load_profile_artifact(path: Path):
@@ -1021,41 +989,30 @@ def _cmd_diff(args):
     return header + "\n" + diff.render(), 0 if diff.ok else 1
 
 
-def _fleet_day(args, setup, spec):
-    """The serving policy and day workload a fleet run serves.
-
-    ``fleet`` and ``top --mode fleet|control`` share it: the task's
-    bursty day trace (seed + 5) with the tightest grid deadline and
-    pool samples attached (seed + 6) — the workload ``run_spec`` builds
-    for the same seed.
-    """
-    from repro.experiments.runner import make_workload, resolve_policy
-    from repro.experiments.trace_segments import make_day_trace
-
-    trace = make_day_trace(setup, duration=args.duration, seed=args.seed + 5)
-    workload = make_workload(
-        setup, trace,
-        deadline=min(setup.deadline_grid),
-        seed=args.seed + 6,
-    )
-    return resolve_policy(setup, spec), workload
-
-
 def _cmd_fleet(args) -> str:
     from repro.experiments.fleet import (
         default_control_config,
         run_fleet_comparison,
     )
-    from repro.experiments.runner import RunSpec
+    from repro.experiments.runner import RunSpec, make_workload, resolve_policy
+    from repro.experiments.trace_segments import make_day_trace
     from repro.obs import RecordingTracer, write_prometheus, write_spans_jsonl
 
     setup = build_setup(args.task, args.preset, seed=args.seed)
-    policy, workload = _fleet_day(args, setup, RunSpec(
+    policy = resolve_policy(setup, RunSpec(
         policy=args.policy,
         scheduler=args.scheduler,
         policy_model=args.policy_model,
         regret_threshold=args.regret_threshold,
     ))
+    # The task's bursty day trace with the tightest grid deadline: the
+    # workload `run_spec` builds for the same seed.
+    workload = make_workload(
+        setup,
+        make_day_trace(setup, duration=args.duration, seed=args.seed + 5),
+        deadline=min(setup.deadline_grid),
+        seed=args.seed + 6,
+    )
     control = (
         default_control_config(
             interval=args.interval,
@@ -1073,7 +1030,7 @@ def _cmd_fleet(args) -> str:
         else None
     )
     metrics_server = _start_metrics_server(args, tracer)
-    comparison, observed = run_fleet_comparison(
+    comparison, observed = _run_live(lambda: run_fleet_comparison(
         setup.latencies,
         policy,
         workload,
@@ -1085,7 +1042,7 @@ def _cmd_fleet(args) -> str:
         workers=setup.workers_for(args.policy),
         seed=args.seed,
         tracer=tracer,
-    )
+    ), live)
     headers = ["serving", "accuracy", "DMR", "p99 ms", "shed"]
     title = (
         f"fleet comparison — {args.task} / {args.policy} "
@@ -1153,7 +1110,13 @@ def _cmd_fleet(args) -> str:
                f"{written[0]}`"]
         )
         if live is not None:
+            # The fleet plane's artifacts, then each shard plane's
+            # beside that shard's spans.
             live_written = live.write_artifacts(out_dir, stem)
+            for plane in live.sources[1:]:
+                live_written += plane.write_artifacts(
+                    out_dir, f"{stem}_{plane.source}"
+                )
     if live is not None:
         lines.extend(_live_footer(live, live_written))
     _stop_metrics_server(metrics_server, args.serve_hold)
@@ -1235,105 +1198,6 @@ def _cmd_distill(args) -> str:
     return table + footer
 
 
-def _cmd_top(args) -> str:
-    import threading
-
-    from repro.experiments.runner import RunSpec, run_spec
-    from repro.obs import (
-        LiveConfig,
-        LiveTelemetry,
-        RecordingTracer,
-        render_top,
-    )
-
-    setup = build_setup(args.task, args.preset, seed=args.seed)
-    live_config = LiveConfig(cadence=args.cadence)
-    fleet = None
-    if args.mode == "trace":
-        live = LiveTelemetry(live_config)
-        tracer = RecordingTracer(live=live)
-        spec = RunSpec(
-            policy=args.policy, duration=args.duration, seed=args.seed + 5
-        )
-
-        def runner():
-            return run_spec(setup, spec, tracer=tracer)
-
-    else:
-        from repro.experiments.fleet import (
-            default_control_config,
-            fleet_config,
-        )
-        from repro.fleet import FleetServer
-
-        policy, workload = _fleet_day(
-            args, setup, RunSpec(policy=args.policy)
-        )
-        control = (
-            default_control_config(interval=args.interval, seed=args.seed)
-            if args.mode == "control"
-            else None
-        )
-        live = LiveTelemetry(live_config, source="fleet")
-        tracer = RecordingTracer(live=live)
-        fleet = FleetServer(
-            setup.latencies,
-            policy,
-            fleet_config(
-                args.shards, args.queue_limit, args.router, args.seed,
-                control,
-            ),
-            workers=setup.workers_for(args.policy),
-            tracer=tracer,
-        )
-
-        def runner():
-            return fleet.run(workload)
-
-    def current_lives():
-        """The planes to show: the run's own plus any shard planes."""
-        if fleet is not None and fleet.shard_lives:
-            return [live] + list(fleet.shard_lives)
-        return [live]
-
-    metrics_server = _start_metrics_server(args, tracer)
-    box = {}
-
-    def work():
-        try:
-            box["result"] = runner()
-        except BaseException as exc:  # surfaced on the main thread
-            box["error"] = exc
-
-    if args.once:
-        work()
-    else:
-        thread = threading.Thread(target=work, daemon=True)
-        thread.start()
-        try:
-            while thread.is_alive():
-                frame = render_top(current_lives())
-                # Clear screen + home, then repaint.
-                print("\x1b[2J\x1b[H" + frame, flush=True)
-                thread.join(max(args.refresh, 0.05))
-        except KeyboardInterrupt:
-            pass
-    if "error" in box:
-        _stop_metrics_server(metrics_server, 0.0)
-        raise box["error"]
-
-    footer_lines: List[str] = []
-    if args.out is not None:
-        written: List[Path] = []
-        for plane in current_lives():
-            written.extend(plane.write_artifacts(
-                args.out, f"{args.task}_top_{plane.source}"
-            ))
-        footer_lines = [""] + [f"wrote {path}" for path in written]
-    _stop_metrics_server(metrics_server, args.serve_hold)
-    return render_top(current_lives()) + "\n".join(footer_lines)
-
-
 def _cmd_incident(args) -> str:
     from repro.obs import (
         DecisionRecord,
@@ -1408,7 +1272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diff": lambda: _cmd_diff(args),
         "fleet": lambda: _cmd_fleet(args),
         "distill": lambda: _cmd_distill(args),
-        "top": lambda: _cmd_top(args),
         "incident": lambda: _cmd_incident(args),
     }
     out = handlers[args.command]()

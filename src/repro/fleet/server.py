@@ -205,10 +205,6 @@ class FleetServer:
         # Rotating tie-break pointer for the admission fallback
         # redirect; re-seeded at the start of every run.
         self._redirect_rr = cfg.seed % cfg.n_shards
-        # Per-shard live telemetry planes of the current run (only
-        # populated when the fleet tracer carries one); the `top`
-        # console polls these mid-run.
-        self.shard_lives: List[LiveTelemetry] = []
 
     @classmethod
     def from_config(
@@ -375,10 +371,11 @@ class FleetServer:
 
         # A traced fleet gives each shard its own tracer, keeping spans
         # only when the fleet's does; with a live plane on the fleet
-        # tracer each shard gets its own plane too (`top` polls them
-        # mid-run) and marks its trigger spans for the fleet plane.
+        # tracer each shard gets its own plane too (the live console
+        # reads them mid-run through the fleet plane's `sources`) and
+        # marks its trigger spans for the fleet plane.
         fleet_live = tracer.live if traced else None
-        self.shard_lives = []
+        shard_lives: List[LiveTelemetry] = []
         shard_tracers: List[RecordingTracer] = []
         if traced:
             for shard in range(n_shards):
@@ -388,7 +385,7 @@ class FleetServer:
                         fleet_live.config, source=f"shard{shard}"
                     )
                     shard_live.marks = []
-                    self.shard_lives.append(shard_live)
+                    shard_lives.append(shard_live)
                 shard_tracers.append(RecordingTracer(
                     keep_spans=tracer.keep_spans,
                     compression=tracer.compression,
@@ -543,7 +540,7 @@ class FleetServer:
             # -- 2. advance every shard to the epoch boundary --
             for session in sessions:
                 session.advance(t_end)
-            for shard_live in self.shard_lives:
+            for shard_live in shard_lives:
                 shard_live.tick(t_end)
 
             # -- 3. harvest resolved outcomes; merge telemetry so far --
@@ -638,7 +635,7 @@ class FleetServer:
                 left = []
                 for shard in running:
                     if sessions[shard].pending:
-                        self.shard_lives[shard].tick(stop)
+                        shard_lives[shard].tick(stop)
                         left.append(shard)
                     else:
                         shard_results[shard] = sessions[shard].finish()
@@ -666,9 +663,9 @@ class FleetServer:
         shard_query_ids = [np.asarray(ids, dtype=int) for ids in shard_ids]
         shard_spans = telemetry.finish(end) if telemetry is not None else None
         shard_snapshots: Optional[List[List[TelemetrySnapshot]]] = None
-        if self.shard_lives:
+        if shard_lives:
             shard_snapshots = [
-                list(live.snapshots) for live in self.shard_lives
+                list(live.snapshots) for live in shard_lives
             ]
 
         merged = self._merge_results(

@@ -42,7 +42,6 @@ from repro.obs.live import (
     TelemetrySnapshot,
     incident_fingerprint,
     read_incident_json,
-    rollup_snapshots,
     write_incident_json,
 )
 from repro.obs.report import (
@@ -121,7 +120,6 @@ __all__ = [
     "incident_fingerprint",
     "read_incident_json",
     "write_incident_json",
-    "rollup_snapshots",
     "MetricsServer",
     "render_incident",
     "render_top",

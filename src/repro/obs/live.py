@@ -12,7 +12,7 @@ into an *operable* surface while the run is still going:
   full mergeable digest checkpoints
   (:meth:`~repro.obs.digest.QuantileDigest.to_dict` state, so shard
   snapshots roll up into fleet snapshots by digest merge — see
-  :func:`rollup_snapshots`).
+  :meth:`TelemetrySnapshot.rollup`).
 * **Flight recorder** — a bounded ring of the most recent spans,
   always on at O(1) per span. Trigger spans (``slo_breach``, control
   ``scale_up``/``degrade``, ``worker_down``) and the anomaly watchdog
@@ -249,35 +249,6 @@ class TelemetrySnapshot:
             gauges=gauges,
             digests=digests,
         )
-
-
-def rollup_snapshots(
-    per_source: Sequence[Sequence[TelemetrySnapshot]], source: str = "fleet"
-) -> List[TelemetrySnapshot]:
-    """Fleet rollup: align per-source snapshot streams on ``seq`` and
-    merge each boundary via :meth:`TelemetrySnapshot.rollup`.
-
-    The rollup covers every seq any source reached. A source that
-    flushed fewer boundaries (a shard that drained early) carries its
-    last snapshot forward: its totals, gauges and digests stay in the
-    sum, and its window counters count zero.
-    """
-    streams = [list(stream) for stream in per_source if stream]
-    seqs = sorted({snap.seq for stream in streams for snap in stream})
-    out = []
-    for seq in seqs:
-        parts = []
-        for stream in streams:
-            first, last = stream[0], stream[-1]
-            if seq > last.seq:
-                parts.append(TelemetrySnapshot(
-                    seq, last.time, last.source, {},
-                    last.totals, last.gauges, last.digests,
-                ))
-            elif seq >= first.seq:
-                parts.append(stream[seq - first.seq])
-        out.append(TelemetrySnapshot.rollup(parts, source=source))
-    return out
 
 
 class AnomalyWatchdog:
@@ -544,8 +515,9 @@ class LiveTelemetry:
     stretches with no spans.
 
     State is plain attribute reads, so a background thread (the
-    ``--serve-metrics`` endpoint, the ``top`` console) can sample
-    :attr:`latest`, :attr:`snapshots` and :attr:`incidents` mid-run
+    ``--serve-metrics`` endpoint) or the live console repainting while
+    a worker thread serves can sample :attr:`latest`,
+    :attr:`snapshots`, :attr:`incidents` and :attr:`sources` mid-run
     without locks — readers see a consistent recent prefix.
     """
 
@@ -617,7 +589,8 @@ class LiveTelemetry:
         ``merge.window(totals, boundary)`` turns this tracer's registry
         totals at a trigger, with this recorder's ring, into the merged
         ring spans and totals (``boundary`` set for a boundary's
-        anomaly)."""
+        anomaly). ``merge.shard_tracers`` are the merged sources'
+        tracers, each carrying its own plane (:attr:`sources`)."""
         self._merge = merge
 
     # -- hot path ------------------------------------------------------
@@ -658,6 +631,14 @@ class LiveTelemetry:
     def latest(self) -> Optional[TelemetrySnapshot]:
         """Most recent snapshot (None before the first boundary)."""
         return self.snapshots[-1] if self.snapshots else None
+
+    @property
+    def sources(self) -> List["LiveTelemetry"]:
+        """This plane, then the planes of the sources it merges (a
+        fleet's shard planes, once its run has built them)."""
+        if self._merge is None:
+            return [self]
+        return [self] + [t.live for t in self._merge.shard_tracers]
 
     def write_artifacts(
         self, out_dir: Union[str, Path], stem: str

@@ -7,13 +7,15 @@ outcomes, latency and deadline-slack percentiles, buffer depth over
 simulated time (sparkline), per-worker utilization, and scheduler
 invocation cost in both simulated and real wall-clock terms.
 
-``render_profile`` is the companion for ``python -m repro profile``:
+``render_profile`` is the companion for ``python -m repro trace
+--profile`` and ``python -m repro profile``:
 the per-phase latency attribution table, DP step-phase wall clock, and
 the top-K blame report with each query's critical task/worker chain
 (see :mod:`repro.obs.profile`).
 
 ``render_top`` and ``render_incident`` are the live-ops views:
-``render_top`` formats one console frame from the
+``render_top`` formats one console frame (what a ``--live`` run of
+``trace`` or ``fleet`` repaints and ends with) from the
 :class:`~repro.obs.live.LiveTelemetry` planes of a running (or
 finished) run — per-source window rates, quantiles from the snapshot
 digest checkpoints, a throughput sparkline and the incident tally —
@@ -307,26 +309,15 @@ def render_top(lives, n_bins: int = 48) -> str:
         lives: The :class:`~repro.obs.live.LiveTelemetry` planes to
             show, one table row each (first is the primary source, the
             one whose throughput sparkline and incident tally render
-            below the table). With several planes (a fleet's shards) a
-            rolled-up ``fleet*`` row is prepended via
-            :func:`~repro.obs.live.rollup_snapshots`.
+            below the table; a fleet plane's
+            :attr:`~repro.obs.live.LiveTelemetry.sources` lists it
+            first, then its shard planes).
         n_bins: Recent snapshot windows in the throughput sparkline.
     """
-    from repro.obs.live import rollup_snapshots
-
     lives = list(lives)
     if not lives:
         return "live top: no telemetry planes attached"
     rows = []
-    # With a primary plane plus >= 2 shard planes, prepend a rolled-up
-    # row over the shards only (rolling the primary in too would
-    # double-count: the merged replay already fed it every shard span).
-    if len(lives) > 2:
-        rolled = rollup_snapshots(
-            [list(live.snapshots) for live in lives[1:]], source="fleet*"
-        )
-        if rolled:
-            rows.append(_top_row("fleet*", rolled[-1]))
     for live in lives:
         snap = live.latest
         if snap is None:

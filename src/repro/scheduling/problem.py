@@ -180,7 +180,6 @@ class SchedulingInstance:
         n_masks = 1 << self.n_models
         for query in self.queries:
             query.check_width(n_masks)
-        self._increments: Optional[np.ndarray] = None
 
     @classmethod
     def trusted(
@@ -205,7 +204,6 @@ class SchedulingInstance:
         instance.latencies = latencies
         instance.busy_until = busy_until
         instance.now = now
-        instance._increments = None
         return instance
 
     @property
@@ -225,15 +223,6 @@ class SchedulingInstance:
     def mask_membership(self) -> np.ndarray:
         """Bool incidence matrix ``(2**m, m)``: mask j contains model k."""
         return self.masks.membership
-
-    @property
-    def mask_increments(self) -> np.ndarray:
-        """Float ``(2**m, m)``: per-mask finish-time increments
-        (``latencies[k]`` for members, exactly 0.0 otherwise), computed
-        once per instance and shared by every scheduler that runs on it."""
-        if self._increments is None:
-            self._increments = self.masks.increments(self.latencies)
-        return self._increments
 
     def quantised_utilities(self, step: float) -> np.ndarray:
         """Stacked ``floor(utilities / step)`` rows, shape

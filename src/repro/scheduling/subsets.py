@@ -44,12 +44,6 @@ class MaskTables:
     def n_masks(self) -> int:
         return 1 << self.n_models
 
-    def increments(self, latencies: np.ndarray) -> np.ndarray:
-        """Per-mask finish-time increments, shape ``(2**m, n_models)``:
-        ``latencies[k]`` where model ``k`` is a member, else exactly 0.0
-        (so adding a row to a busy vector leaves non-members bit-identical)."""
-        return np.where(self.membership, np.asarray(latencies, dtype=float), 0.0)
-
 
 #: Distinct ensemble sizes the process-wide table cache keeps. Tables
 #: for an ``m``-model ensemble are ``O(m * 2**m)``; a long fleet run

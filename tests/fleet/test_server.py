@@ -13,7 +13,7 @@ from repro.experiments.fleet import (
 )
 from repro.fleet import FleetConfig, FleetServer
 from repro.obs import spans as sp
-from repro.obs.live import LiveTelemetry, rollup_snapshots
+from repro.obs.live import LiveTelemetry
 from repro.obs.slo import SLOConfig
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.greedy import GreedyScheduler
@@ -263,13 +263,24 @@ class TestLiveFleet:
         tracer = RecordingTracer(live=LiveTelemetry(source="fleet"))
         result = self.run(tracer)
         # The shards drain at different times: their streams differ in
-        # length, and the rollup still counts every shard's arrivals.
+        # length, and the fleet plane still counts every shard's
+        # arrivals, a drained shard's at its final state.
         assert len({len(s) for s in result.shard_snapshots}) > 1
-        rolled = rollup_snapshots(result.shard_snapshots)[-1]
         fleet = tracer.live.snapshots[-1]
-        assert rolled.totals["queries.arrived"] == (
-            fleet.totals["queries.arrived"]
-        ) == result.assignments.size - result.n_shed
+        assert sum(
+            stream[-1].totals["queries.arrived"]
+            for stream in result.shard_snapshots
+        ) == fleet.totals["queries.arrived"] == (
+            result.assignments.size - result.n_shed
+        )
+        # The fleet plane reaches its shard planes as its sources.
+        planes = tracer.live.sources
+        assert [plane.source for plane in planes] == [
+            "fleet", "shard0", "shard1", "shard2",
+        ]
+        assert [list(plane.snapshots) for plane in planes[1:]] == (
+            result.shard_snapshots
+        )
 
     def test_fleet_snapshots_cut_mid_run(self, monkeypatch):
         tracer = RecordingTracer(live=LiveTelemetry(source="fleet"))

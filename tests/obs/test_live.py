@@ -21,7 +21,6 @@ from repro.obs.live import (
     TelemetrySnapshot,
     incident_fingerprint,
     read_incident_json,
-    rollup_snapshots,
     write_incident_json,
 )
 from repro.obs.spans import (
@@ -156,28 +155,6 @@ class TestRollup:
         assert merged.counters["queries.arrived"] == 10
         assert merged.totals["queries.completed"] == 10
         assert not math.isnan(merged.quantile("query.latency_s", 0.95))
-
-    def test_rollup_snapshots_aligns_uneven_streams(self):
-        a = self._stream(3, 4)
-        b = self._stream(1, 6)  # drained early: one boundary only
-        fleet = rollup_snapshots([a, b])
-        assert [snap.seq for snap in fleet] == [0, 1, 2]
-        assert fleet[0].counters["queries.arrived"] == 10
-        assert fleet[1].counters["queries.arrived"] == 4
-
-    def test_drained_source_keeps_its_totals(self):
-        a = self._stream(3, 4)
-        b = self._stream(1, 6)  # drained after its first boundary
-        last = rollup_snapshots([a, b])[-1]
-        assert last.totals["queries.arrived"] == (
-            a[-1].totals["queries.arrived"] + b[-1].totals["queries.arrived"]
-        )
-        # Its window counters count zero; its digests stay.
-        assert last.counters["queries.arrived"] == 4
-        assert last.digests["query.latency_s"]["count"] == (
-            a[-1].digests["query.latency_s"]["count"]
-            + b[-1].digests["query.latency_s"]["count"]
-        )
 
     def test_rollup_of_nothing_raises(self):
         with pytest.raises(ValueError):

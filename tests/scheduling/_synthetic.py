@@ -142,7 +142,7 @@ def numpy_greedy(instance, order="edf"):
     queries = [instance.queries[i] for i in ORDERS[order](instance.queries)]
     n_masks = 1 << instance.n_models
     membership = instance.mask_membership  # (n_masks, m) bool
-    increments = instance.mask_increments  # (n_masks, m) float
+    increments = np.where(membership, instance.latencies, 0.0)
     masks = np.arange(n_masks)
     times = instance.busy_until.astype(float, copy=True)
 

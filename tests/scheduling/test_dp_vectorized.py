@@ -255,12 +255,3 @@ class TestSharedInstanceTables:
             a.queries, a.latencies, a.busy_until, now=a.now,
         )
         assert a.masks is b.masks  # one lru-cached table per ensemble size
-
-    def test_mask_increments_match_membership(self):
-        instance = randomized_instance(2)
-        increments = instance.mask_increments
-        membership = instance.mask_membership
-        np.testing.assert_array_equal(
-            increments != 0.0,
-            membership & (instance.latencies[None, :] != 0.0),
-        )

@@ -94,10 +94,16 @@ class TestParser:
         assert args.min_events == 20
 
     def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
+        # A profiled run is `trace --profile`; `profile` reads a dump.
+        args = build_parser().parse_args(["trace", "--profile"])
+        assert args.profile is True
         assert args.policy == "schemble"
-        assert args.spans is None  # None = fresh profiled run
         assert args.out == "traces"
+        assert build_parser().parse_args(["trace"]).profile is False
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile"])
+        args = build_parser().parse_args(["profile", "--spans", "s.jsonl"])
+        assert args.spans == "s.jsonl"
         assert args.top == 5
 
     def test_diff_requires_two_paths(self):
@@ -197,11 +203,12 @@ class TestCommands:
             main(["explain", "1", "--decisions", str(tmp_path / "nope")])
 
     def test_profile_and_diff_pipeline(self, capsys, tm_setup, tmp_path):
-        # profile -> diff: a profiled run writes spans + artifact, the
-        # self-diff is quiet, and an injected DP-phase slowdown flags.
+        # trace --profile -> diff: a profiled run writes spans +
+        # artifact, the self-diff is quiet, and an injected DP-phase
+        # slowdown flags.
         out_dir = tmp_path / "prof"
         assert main([
-            "profile", "--duration", "5", "--out", str(out_dir)
+            "trace", "--profile", "--duration", "5", "--out", str(out_dir)
         ]) == 0
         out = capsys.readouterr().out
         assert "latency attribution report" in out
@@ -238,15 +245,18 @@ class TestCommands:
 
     def test_profile_offline_from_spans(self, capsys, tm_setup, tmp_path):
         assert main([
-            "profile", "--duration", "5", "--out", str(tmp_path)
+            "trace", "--duration", "5", "--out", str(tmp_path)
         ]) == 0
         capsys.readouterr()
         spans = tmp_path / "text_matching_schemble_spans.jsonl"
+        artifact = tmp_path / "text_matching_schemble_profile.json"
+        assert not artifact.exists()  # only --profile writes one
         # Offline attribution of the dump writes a sibling artifact.
         assert main(["profile", "--spans", str(spans)]) == 0
         out = capsys.readouterr().out
         assert "latency attribution report" in out
-        assert (tmp_path / "text_matching_schemble_profile.json").exists()
+        assert artifact.exists()
+        assert f"wrote {artifact}" in out
 
     def test_profile_missing_spans_errors(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -438,16 +448,6 @@ class TestLiveOps:
             assert args.serve_metrics is None
             assert args.serve_hold == 0.0
 
-    def test_top_parser_defaults(self):
-        args = build_parser().parse_args(["top"])
-        # top is always live: no --live opt-in flag, just the knobs.
-        assert not hasattr(args, "live")
-        assert args.mode == "trace"
-        assert args.once is False
-        assert args.refresh == 0.5
-        assert args.cadence == 1.0
-        assert args.out is None
-
     def test_trace_live_writes_snapshot_stream(self, capsys, tm_setup,
                                                tmp_path):
         assert main([
@@ -462,20 +462,24 @@ class TestLiveOps:
         assert lines[-1]["totals"]["queries.arrived"] > 0
 
     def test_top_once_prints_one_frame(self, capsys, tm_setup, tmp_path):
+        # Off a terminal a live run prints the console once, as its
+        # final frame, ahead of the live footer.
         assert main([
-            "top", "--once", "--duration", "5", "--out", str(tmp_path),
+            "trace", "--live", "--duration", "5", "--out", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "live top" in out
-        assert (tmp_path / "text_matching_top_server_snapshots.jsonl"
+        assert out.count("live top — 1 source,") == 1
+        assert "\x1b[2J" not in out
+        assert out.index("live top") < out.index("live telemetry:")
+        assert (tmp_path / "text_matching_schemble_snapshots.jsonl"
                 ).exists()
 
     def test_top_once_control_mode(self, capsys, tm_setup, tmp_path):
-        # The fleet branch of `top`: the controlled day `fleet
-        # --control` serves, one row per plane (fleet-wide, rolled-up
-        # and per shard) and one snapshot stream per plane.
+        # The console of a live controlled fleet: one row per plane
+        # (fleet-wide and per shard) and one snapshot stream per plane,
+        # each shard's beside its spans.
         assert main([
-            "top", "--once", "--mode", "control", "--shards", "2",
+            "fleet", "--control", "--live", "--shards", "2",
             "--duration", "5", "--out", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -483,12 +487,34 @@ class TestLiveOps:
         sources = {
             line.split()[0] for line in out.splitlines() if line.strip()
         }
-        assert {"fleet*", "fleet", "shard0", "shard1"} <= sources
-        for source in ("fleet", "shard0", "shard1"):
-            snaps = tmp_path / f"text_matching_top_{source}_snapshots.jsonl"
+        assert {"fleet", "shard0", "shard1"} <= sources
+        assert "fleet*" not in sources
+        stem = "text_matching_fleet_power_of_two_control"
+        for suffix in ("", "_shard0", "_shard1"):
+            snaps = tmp_path / f"{stem}{suffix}_snapshots.jsonl"
             assert snaps.exists()
             assert f"wrote {snaps}" in out
             assert snaps.read_text().strip()
+            assert (tmp_path / f"{stem}{suffix}_spans.jsonl").exists()
+
+    def test_live_console_repaints_on_a_terminal(self, capsys, tm_setup,
+                                                 tmp_path, monkeypatch):
+        # With stdout a terminal the run goes on a worker thread and
+        # the console repaints (clear screen + home) until it ends;
+        # then the final frame prints with the rest of the output.
+        import sys
+
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert main([
+            "trace", "--live", "--duration", "5", "--out", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        clear = "\x1b[2J\x1b[H"
+        assert out.startswith(clear + "live top")
+        # The last repaint, then the final frame and the live footer.
+        tail = out[out.rindex(clear):]
+        assert tail.count("live top — 1 source,") == 2
+        assert tail.rindex("live top") < tail.index("live telemetry:")
 
     def test_incident_post_mortem(self, capsys, tmp_path):
         # Freeze a bundle with the library, then post-mortem it with

@@ -97,3 +97,48 @@ def test_named_bench_scripts_exist(source):
         name for name in named if not (ROOT / "benchmarks" / name).exists()
     )
     assert not missing, f"{source} names missing {missing}"
+
+
+@pytest.mark.parametrize("source", [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+    "src",
+])
+def test_named_cli_lines_parse(source):
+    """Every ``python -m repro CMD --flag ...`` a document or module
+    names is a subcommand with those options (``#`` comments
+    stripped; flags belong to the nearest command before them)."""
+    import argparse
+    import re
+
+    from repro.cli import build_parser
+
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    path = ROOT / source
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    mismatches = []
+    for file in files:
+        for line in file.read_text().splitlines():
+            line = line.split("#")[0]
+            for call in re.split(r"python -m repro(?= )", line)[1:]:
+                match = re.match(r" (\w+)", call)
+                if match is None:
+                    continue
+                name = match.group(1)
+                if name not in commands:
+                    mismatches.append(f"{file.name}: {name}")
+                    continue
+                options = commands[name]._option_string_actions
+                mismatches += [
+                    f"{file.name}: {name} {flag}"
+                    for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", call)
+                    if flag not in options
+                ]
+    assert not mismatches, f"{source} names unknown CLI forms {mismatches}"
