@@ -21,7 +21,11 @@ Three checks on a diurnal-trace workload:
   must likewise leave the records untouched, and its span stream must
   equal the recorder-free stream once the live plane's own meta kinds
   (``snapshot``/``anomaly``/``incident``) are set aside — the live
-  plane watches the stream, never steers it. With no live plane
+  plane watches the stream, never steers it. Its registry must equal
+  the recorder-free one too: every histogram digest (bar the
+  real-wall-clock ``scheduler.wall_s``) and every counter but the
+  plane's own, since snapshot boundaries checkpoint histograms by
+  reference instead of compressing them. With no live plane
   attached (``live=None``, the default) the emit path is the pre-live
   code path, so the recorder-disabled identity re-proves bit-identical
   behaviour to a recorder-free build.
@@ -67,6 +71,7 @@ from _gate import (  # noqa: E402
 from repro.data.traces import diurnal_trace  # noqa: E402
 from repro.obs.explain import DecisionLog  # noqa: E402
 from repro.obs.live import META_KINDS, LiveConfig, LiveTelemetry  # noqa: E402
+from repro.obs.metrics import Counter, StreamingHistogram  # noqa: E402
 from repro.obs.slo import SLOMonitor  # noqa: E402
 from repro.obs.tracer import RecordingTracer  # noqa: E402
 from repro.scheduling.dp import DPScheduler  # noqa: E402
@@ -152,6 +157,25 @@ def comparable_spans(spans):
     ]
 
 
+#: Counters the live plane keeps about itself (its meta spans' folds).
+META_COUNTERS = ("telemetry.snapshots", "anomaly.", "incident.bundles")
+
+
+def registry_view(registry):
+    """Histogram checkpoints without ``scheduler.wall_s`` and counters
+    without the live plane's own, for the live-vs-plain comparison."""
+    view = {}
+    for name in registry.names():
+        metric = registry.get(name)
+        if isinstance(metric, Counter):
+            if not name.startswith(META_COUNTERS):
+                view[name] = metric.value
+        elif isinstance(metric, StreamingHistogram):
+            if name != "scheduler.wall_s":
+                view[name] = metric.checkpoint()
+    return view
+
+
 def check_identity():
     """Traced/monitored/explained/profiled runs must agree
     record-for-record (and span-for-span modulo profiling extras)."""
@@ -216,6 +240,14 @@ def check_identity():
         == comparable_spans(reference_tracer.spans)
         and meta_spans > 0
     )
+    # Nor may it steer the registry: snapshot boundaries checkpoint the
+    # histograms by reference, so their digests (the real-wall-clock
+    # scheduler.wall_s aside) and every counter but the plane's own
+    # equal the plane-free run's.
+    live_registry_identical = (
+        registry_view(live_tracer.metrics)
+        == registry_view(reference_tracer.metrics)
+    )
     return {
         "queries": workload.n_queries,
         "records_identical": identical,
@@ -224,10 +256,14 @@ def check_identity():
         "profile_identical": profile_identical,
         "profile_spans": profile_spans,
         "live_identical": live_identical,
+        "live_registry_identical": live_registry_identical,
         "live_meta_spans": meta_spans,
         "live_snapshots": len(live_tracer.live.snapshots),
         "spans": "recorded",
-    }, identical and masks_match and profile_identical and live_identical
+    }, (
+        identical and masks_match and profile_identical and live_identical
+        and live_registry_identical
+    )
 
 
 def time_variants(runs, repeats=REPEATS):
@@ -347,7 +383,9 @@ def main(argv=None):
           f"({identity['profile_spans']} profile spans), "
           f"live identical = {identity['live_identical']} "
           f"({identity['live_meta_spans']} meta spans, "
-          f"{identity['live_snapshots']} snapshots)")
+          f"{identity['live_snapshots']} snapshots), "
+          f"live registry identical = "
+          f"{identity['live_registry_identical']}")
     overhead_stats, overhead = check_overhead(quick=quick)
     print(
         f"overhead: baseline {overhead_stats['baseline_s']:.3f}s, "
@@ -357,8 +395,10 @@ def main(argv=None):
         f"({overhead_stats['recording_tracer_ratio']:.2f}x), "
         f"profiling tracer {overhead_stats['profiling_tracer_s']:.3f}s "
         f"({overhead_stats['profiling_tracer_ratio']:.2f}x), "
+        f"recording tracer with spans kept "
+        f"{overhead_stats['recording_kept_s']:.3f}s, "
         f"live tracer {overhead_stats['live_tracer_s']:.3f}s "
-        f"({overhead_stats['live_vs_recording_ratio']:.3f}x vs recording)"
+        f"({overhead_stats['live_vs_recording_ratio']:.3f}x vs kept)"
     )
     regressions, regression_ok = growth_regressions(
         overhead_stats, (committed or {}).get("overhead", {}),
@@ -377,7 +417,8 @@ def main(argv=None):
     print(f"wrote {RESULTS_PATH}")
 
     if not identical:
-        print("FAIL: observability changed the serving records")
+        print("FAIL: observability changed the serving records or the "
+              "live plane steered the registry")
         return 1
     if overhead > MAX_OVERHEAD:
         print(f"FAIL: NullTracer overhead {100 * overhead:.2f}% "

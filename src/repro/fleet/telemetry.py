@@ -5,12 +5,13 @@ shards' spans through the fleet tracer: each shard's stream is folded
 by its own tracer, and the results merge. :class:`FleetTelemetry` is
 that merge for one run: at each stop it folds the front end's and the
 control side stream's spans into the fleet tracer in global
-``(time, stream)`` order, with what it needs of the shards in between;
-it supplies the shards' part of every fleet snapshot and incident
-bundle to the fleet's live plane; and at the end of the run it merges
-the shard registries into the fleet's and, when spans are kept, builds
-the merged span stream.
-"""
+``(time, stream)`` order, with what it needs of the shards in between,
+spending per item only what that item's fold needs; it supplies the
+shards' part of every fleet snapshot and incident bundle to the
+fleet's live plane (a fleet snapshot keeps its parts and merges their
+digests when first read); and at the end of the run it merges the
+shard registries into the fleet's and, when spans are kept, builds the
+merged span stream."""
 
 from __future__ import annotations
 
@@ -152,13 +153,19 @@ class FleetTelemetry:
         tracer = self.tracer
         live = self.live
         watchdog = live.watchdog if live is not None else None
+        # Per item only what its fold needs: a merge key when the fleet
+        # keeps spans, and the merged-stream position wherever the fold
+        # can freeze a bundle (marks, control spans and, under an slo
+        # monitor, whatever it observes).
+        keep = tracer.keep_spans
         for t, stream, rank, _, item in items:
             if live is not None and t >= live._next_due:
                 self._tick(t)
-            key = (t, stream, rank, 0)
+            key = None
             if stream == -1:
-                self._position = (t, -1, None, None)
                 kind, _, qid, attrs = item
+                if slo is not None:
+                    self._position = (t, -1, None, None)
                 tracer.emit(kind, t, qid, **attrs)
             elif stream == n:
                 self._position = (t, n, None, None)
@@ -177,15 +184,15 @@ class FleetTelemetry:
                 key = (t, stream, row, 1)  # its incident span follows
             else:  # a shard's resolved outcome
                 (_, missed, degraded, latency), row = item
-                if row is None:
-                    self._position = (t, stream, None, None)
-                    key = (t, stream, inf, 0)
-                else:
-                    self._position = (t, stream, row + 1, row + 1)
-                    key = (t, stream, row, 1)
                 if watchdog is not None:
                     watchdog.ingest(missed, latency)
                 if slo is not None:
+                    if row is None:
+                        self._position = (t, stream, None, None)
+                        key = (t, stream, inf, 0)
+                    else:
+                        self._position = (t, stream, row + 1, row + 1)
+                        key = (t, stream, row, 1)
                     own = live.recorder if live is not None else None
                     if own is not None:
                         start = own.base + len(own.rows)
@@ -194,7 +201,8 @@ class FleetTelemetry:
                         # Its spans follow the outcome's row in rings.
                         for index in range(start, own.base + len(own.rows)):
                             self._own_keys[index] = key
-            self._keyed(key)
+            if keep:
+                self._keyed(key if key is not None else (t, stream, rank, 0))
         if live is not None and cut < inf:
             # Shard rows before the cut now only serve ring windows.
             for shard_tracer in self.shard_tracers:
@@ -233,16 +241,16 @@ class FleetTelemetry:
 
     def _tick(self, time: float) -> None:
         self.live.tick(time)
-        self._keyed(None)
+        if self.tracer.keep_spans:
+            self._keyed(None)
 
     def _keyed(self, key: Optional[tuple]) -> None:
         """Key the fleet tracer's new kept spans for the final merge:
         with ``key``, or at their boundary (before that instant's
         spans) when they came from a flush."""
-        if self.tracer.keep_spans:
-            keys = self._keys
-            for span in self.tracer.spans[len(keys):]:
-                keys.append(key if key is not None else (span.time, -2, 0, 0))
+        keys = self._keys
+        for span in self.tracer.spans[len(keys):]:
+            keys.append(key if key is not None else (span.time, -2, 0, 0))
 
     def finish(self, end: float) -> Optional[List[List[Span]]]:
         """Fold the rest, finalize the fleet tracer at ``end`` and merge
@@ -255,7 +263,8 @@ class FleetTelemetry:
         if live is not None:
             self._tick(end)
         tracer.finalize(end)
-        self._keyed((end, self.n + 1, 0, 0))
+        if tracer.keep_spans:
+            self._keyed((end, self.n + 1, 0, 0))
         offsets = self._offsets()
         if live is not None:
             # A bundle frozen mid-run remapped worker ids with the

@@ -16,7 +16,11 @@ per-segment or per-worker digests roll up into a run-level percentile
 without keeping raw samples.
 
 Everything is deterministic (no sampling), so traced runs reproduce
-bit-identically.
+bit-identically. A checkpoint (:meth:`QuantileDigest.state`) is taken
+by reference in O(1) and never compresses the digest it reads, so a
+live plane checkpointing at every snapshot boundary leaves the digest
+exactly as an unwatched one; :meth:`QuantileDigest.from_state` turns a
+checkpoint back into a digest whose ``to_dict`` is the state's bytes.
 
 The bound the digest keeps is on **rank**: the estimate of quantile
 ``q`` ranks within 1% of ``q`` in the stream (p50, p95 and p99, for one
@@ -118,7 +122,9 @@ class QuantileDigest:
         if not self._buf:
             return
         fresh = np.asarray(self._buf, dtype=float)
-        self._buf.clear()
+        # A new list, not a cleared one: a checkpoint (:meth:`state`)
+        # holds the old list and the length it had.
+        self._buf = []
         self._means = np.concatenate([self._means, fresh])
         self._weights = np.concatenate(
             [self._weights, np.ones(fresh.shape[0])]
@@ -258,6 +264,35 @@ class QuantileDigest:
             "means": self._means.tolist(),
             "weights": self._weights.tolist(),
         }
+
+    def state(self) -> tuple:
+        """A checkpoint of the digest now, taken by reference in O(1).
+
+        It holds the centroid arrays (only ever replaced, never written
+        in place), the insertion buffer's list with its length (the list
+        is only appended to; a compression swaps in a new one) and the
+        scalars. :meth:`from_state` rebuilds the digest as it was, so
+        ``from_state(s).to_dict()`` is what ``to_dict()`` would have
+        returned when ``s`` was taken, without compressing this digest:
+        a checkpoint never changes what the digest goes on to hold. It
+        keeps at most one buffer (``buffer_size`` values) alive.
+        """
+        return (
+            self.compression, self.count, self.total, self.min, self.max,
+            self._means, self._weights, self._buf, len(self._buf),
+            self._reverse,
+        )
+
+    @classmethod
+    def from_state(cls, state: tuple) -> "QuantileDigest":
+        """A new digest equal to the one :meth:`state` checkpointed."""
+        digest = cls(compression=state[0])
+        (
+            _, digest.count, digest.total, digest.min, digest.max,
+            digest._means, digest._weights, buf, size, digest._reverse,
+        ) = state
+        digest._buf = buf[:size]
+        return digest
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "QuantileDigest":

@@ -9,9 +9,10 @@ into an *operable* surface while the run is still going:
   is cut into windows; each boundary emits a
   :class:`TelemetrySnapshot` holding delta-encoded counters (what
   happened *this* window), cumulative totals, last gauge values and
-  full mergeable digest checkpoints
-  (:meth:`~repro.obs.digest.QuantileDigest.to_dict` state, so shard
-  snapshots roll up into fleet snapshots by digest merge — see
+  full mergeable digest checkpoints. A boundary takes each histogram's
+  checkpoint by reference (:meth:`~repro.obs.digest.QuantileDigest.state`)
+  and the snapshot serializes it when first read; shard snapshots roll
+  up into fleet snapshots whose digests merge when first read (see
   :meth:`TelemetrySnapshot.rollup`).
 * **Flight recorder** — a bounded ring of the most recent spans,
   always on at O(1) per span. Trigger spans (``slo_breach``, control
@@ -31,22 +32,26 @@ attributes riding on ``schedule`` spans. :func:`incident_fingerprint`
 canonicalizes a bundle with those scrubbed; the test suite and the
 overhead benchmark compare fingerprints, not raw bytes.
 
+The plane watches and never steers: it adds only its own meta spans
+and their counters, and since no boundary compresses a live histogram
+(a checkpoint is a reference, serialized from a copy), a run's
+registry ends exactly as the same run's without a plane.
+
 Attachment: pass a :class:`LiveTelemetry` to
 ``RecordingTracer(live=...)``. ``RecordingTracer.emit`` is the plane's
 one span hook. A span first flushes every snapshot boundary it passes,
 so a window, its snapshot and the bundles frozen at it end at the
 boundary; then the flight recorder stores it; then the tracer's fold
-chain hands outcome kinds to the watchdog and trigger kinds to the
-recorder. When ``live`` is ``None`` (the default) the tracer path is
-unchanged and a disabled run stays bit-identical to pre-live behaviour
-(proved by ``benchmarks/bench_obs_overhead.py``).
-"""
+for its kind hands outcome kinds to the watchdog and trigger kinds to
+the recorder. When ``live`` is ``None`` (the default) the tracer path
+is unchanged and a disabled run stays bit-identical to pre-live
+behaviour (proved by ``benchmarks/bench_obs_overhead.py``)."""
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -74,8 +79,8 @@ from repro.obs.spans import (
 INCIDENT_SCHEMA = "repro.incident/1"
 
 #: Trigger span kinds that freeze the flight recorder: the default set
-#: and the only kinds allowed, because ``RecordingTracer``'s fold chain
-#: hooks exactly these (``anomaly`` fires from the watchdog at a
+#: and the only kinds allowed, because ``RecordingTracer``'s folds hook
+#: exactly these (``anomaly`` fires from the watchdog at a
 #: boundary, not from a span).
 DEFAULT_TRIGGERS = (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
 
@@ -151,7 +156,6 @@ class LiveConfig:
             )
 
 
-@dataclass
 class TelemetrySnapshot:
     """One cadence window of a run, delta-encoded and mergeable.
 
@@ -164,20 +168,73 @@ class TelemetrySnapshot:
         totals: Cumulative counter values at the boundary.
         gauges: Last sampled value of each gauge at the boundary.
         digests: Cumulative :class:`QuantileDigest` checkpoints per
-            histogram — mergeable across sources, so fleet rollups
-            keep accurate quantiles.
+            histogram (``to_dict`` state) — mergeable across sources,
+            so fleet rollups keep accurate quantiles.
+
+    A snapshot cut from a live registry holds each histogram's
+    checkpoint by reference (:meth:`QuantileDigest.state`) and a
+    rollup holds its parts; :attr:`digests` serializes (or merges)
+    them when first read and keeps the result. What it reads is frozen,
+    so a reader on another thread (the console, ``/snapshot``) needs no
+    lock: racing first reads compute the same value.
     """
 
-    seq: int
-    time: float
-    source: str = "server"
-    counters: Dict[str, float] = field(default_factory=dict)
-    totals: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    digests: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    __slots__ = (
+        "seq", "time", "source", "counters", "totals", "gauges",
+        "_digests", "_frozen",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        time: float,
+        source: str = "server",
+        counters: Optional[Dict[str, float]] = None,
+        totals: Optional[Dict[str, float]] = None,
+        gauges: Optional[Dict[str, float]] = None,
+        digests: Optional[Dict[str, Dict[str, object]]] = None,
+        *,
+        frozen: Union[
+            Dict[str, tuple], List["TelemetrySnapshot"], None
+        ] = None,
+    ):
+        self.seq = seq
+        self.time = time
+        self.source = source
+        self.counters = {} if counters is None else counters
+        self.totals = {} if totals is None else totals
+        self.gauges = {} if gauges is None else gauges
+        if digests is None and frozen is None:
+            digests = {}
+        self._digests = digests
+        #: Digest states by histogram name, or the rolled-up parts;
+        #: dropped once :attr:`digests` is built from it.
+        self._frozen = frozen
+
+    @property
+    def digests(self) -> Dict[str, Dict[str, object]]:
+        frozen = self._frozen  # first: a racing read may drop it
+        digests = self._digests
+        if digests is None:
+            if isinstance(frozen, dict):
+                digests = {
+                    name: QuantileDigest.from_state(state).to_dict()
+                    for name, state in frozen.items()
+                }
+            else:
+                digests = _merge_digests(frozen)
+            self._digests = digests
+            self._frozen = None
+        return digests
+
+    def __eq__(self, other) -> bool:  # by value
+        if not isinstance(other, TelemetrySnapshot):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly representation with deterministic key order."""
+        digests = self.digests
         return {
             "seq": self.seq,
             "time": self.time,
@@ -185,7 +242,7 @@ class TelemetrySnapshot:
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "totals": {k: self.totals[k] for k in sorted(self.totals)},
             "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "digests": {k: self.digests[k] for k in sorted(self.digests)},
+            "digests": {k: digests[k] for k in sorted(digests)},
         }
 
     @classmethod
@@ -217,14 +274,14 @@ class TelemetrySnapshot:
 
         Counters/totals/gauges sum (gauges are extensive here — buffer
         depth, replica level — so the fleet value is the shard sum);
-        digest checkpoints merge losslessly at the centroid level.
+        digest checkpoints merge losslessly at the centroid level, when
+        the rollup's :attr:`digests` are first read.
         """
         if not snapshots:
             raise ValueError("rollup needs at least one snapshot")
         counters: Dict[str, float] = {}
         totals: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
-        parts: Dict[str, List[QuantileDigest]] = {}
         for snap in snapshots:
             for name, value in snap.counters.items():
                 counters[name] = counters.get(name, 0.0) + value
@@ -232,14 +289,6 @@ class TelemetrySnapshot:
                 totals[name] = totals.get(name, 0.0) + value
             for name, value in snap.gauges.items():
                 gauges[name] = gauges.get(name, 0.0) + value
-            for name, state in snap.digests.items():
-                parts.setdefault(name, []).append(
-                    QuantileDigest.from_dict(state)
-                )
-        digests = {}
-        for name, (first, *rest) in parts.items():
-            first.merge(*rest)
-            digests[name] = first.to_dict()
         return cls(
             seq=snapshots[0].seq,
             time=max(snap.time for snap in snapshots),
@@ -247,8 +296,23 @@ class TelemetrySnapshot:
             counters=counters,
             totals=totals,
             gauges=gauges,
-            digests=digests,
+            frozen=list(snapshots),
         )
+
+
+def _merge_digests(
+    snapshots: Sequence[TelemetrySnapshot],
+) -> Dict[str, Dict[str, object]]:
+    """The digest-level merge of the snapshots' checkpoints, by name."""
+    parts: Dict[str, List[QuantileDigest]] = {}
+    for snap in snapshots:
+        for name, state in snap.digests.items():
+            parts.setdefault(name, []).append(QuantileDigest.from_dict(state))
+    digests = {}
+    for name, (first, *rest) in parts.items():
+        first.merge(*rest)
+        digests[name] = first.to_dict()
+    return digests
 
 
 class AnomalyWatchdog:
@@ -508,7 +572,7 @@ class LiveTelemetry:
     from its ``keep_spans``. Its ``emit`` is the one span hook: a span
     first flushes any snapshot boundary it passes, is then stored (a
     list append, or nothing when the ring is a view over the tracer's
-    span list), and the tracer's fold chain hands ``complete``/
+    span list), and the tracer's folds hand ``complete``/
     ``reject`` to the watchdog and trigger kinds to
     :meth:`_maybe_trigger`. :meth:`tick` lets an epoch driver (a
     fleet, at each of its stops) flush boundaries through quiet
@@ -598,7 +662,7 @@ class LiveTelemetry:
     def _maybe_trigger(
         self, kind: str, time: float, query_id: int, attrs
     ) -> None:
-        """Trigger hook, called from the tracer's fold chain on the
+        """Trigger hook, called from the tracer's folds on the
         span kinds of :data:`DEFAULT_TRIGGERS`, before their fold."""
         if kind in self._trigger_set:
             if self.marks is not None:
@@ -686,7 +750,7 @@ class LiveTelemetry:
         ``time`` (window counters empty)."""
         totals: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
-        digests: Dict[str, Dict[str, object]] = {}
+        states: Dict[str, tuple] = {}
         registry = self._metrics
         for name in registry.names():
             metric = registry.get(name)
@@ -696,9 +760,10 @@ class LiveTelemetry:
                 if metric.last is not None:
                     gauges[name] = metric.last
             elif isinstance(metric, StreamingHistogram):
-                digests[name] = metric.checkpoint()
+                states[name] = metric.state()
         return TelemetrySnapshot(
-            self._n_snapshots, time, self.source, {}, totals, gauges, digests,
+            self._n_snapshots, time, self.source, {}, totals, gauges,
+            frozen=states,
         )
 
     def _emit_snapshot(

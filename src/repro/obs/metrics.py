@@ -170,6 +170,13 @@ class StreamingHistogram:
         roll up into fleet quantiles without the raw observations."""
         return self._digest.to_dict()
 
+    def state(self) -> tuple:
+        """The digest's checkpoint by reference
+        (:meth:`~repro.obs.digest.QuantileDigest.state`): O(1), and it
+        leaves this histogram uncompressed, so a live plane that takes
+        one at every snapshot boundary never steers the histogram."""
+        return self._digest.state()
+
     def n_retained(self) -> int:
         """Values currently held (centroids + buffer) — the memory bound."""
         return self._digest.n_centroids()

@@ -190,11 +190,11 @@ class LatencyAttributor:
     def __init__(self, compression: int = 128):
         self.queries: Dict[int, QueryAttribution] = {}
         self.rejected: List[int] = []
-        self.phase_hist: Dict[str, StreamingHistogram] = {
-            phase: StreamingHistogram(f"phase.{phase}_s", compression)
-            for phase in PHASES
-        }
-        self.latency_hist = StreamingHistogram("query.latency_s", compression)
+        self._compression = compression
+        self._phase_hist: Optional[Dict[str, StreamingHistogram]] = None
+        self._latency_hist: Optional[StreamingHistogram] = None
+        # Attributions not yet in the histograms, in _finalize order.
+        self._unbinned: List[QueryAttribution] = []
         #: Real wall-clock totals of the DP step phases, summed from
         #: ``sched_phase`` spans (empty for unprofiled streams).
         self.sched_phase_wall: Dict[str, float] = {}
@@ -364,9 +364,38 @@ class LatencyAttributor:
             final_start=final_start,
         )
         self.queries[span.query_id] = attribution
-        for phase, seconds in phases.items():
-            self.phase_hist[phase].add(seconds)
-        self.latency_hist.add(latency)
+        self._unbinned.append(attribution)
+
+    @property
+    def phase_hist(self) -> Dict[str, StreamingHistogram]:
+        """Per-phase t-digest histograms of the completed queries."""
+        self._bin()
+        return self._phase_hist
+
+    @property
+    def latency_hist(self) -> StreamingHistogram:
+        """The completed queries' end-to-end latency histogram."""
+        self._bin()
+        return self._latency_hist
+
+    def _bin(self) -> None:
+        """Fill the histograms with the attributions made since the last
+        read, in the order they were made: they are built only when
+        read, so a bundle's blame never pays for them."""
+        if self._latency_hist is None:
+            compression = self._compression
+            self._phase_hist = {
+                phase: StreamingHistogram(f"phase.{phase}_s", compression)
+                for phase in PHASES
+            }
+            self._latency_hist = StreamingHistogram(
+                "query.latency_s", compression
+            )
+        for attribution in self._unbinned:
+            for phase, seconds in attribution.phases.items():
+                self._phase_hist[phase].add(seconds)
+            self._latency_hist.add(attribution.latency)
+        self._unbinned = []
 
     # ------------------------------------------------------------------
     # Critical path & blame

@@ -11,52 +11,49 @@ one branch per event — the benchmark guard in
 folds it into a :class:`~repro.obs.metrics.MetricsRegistry` as spans
 arrive (streaming, bounded memory): buffer depth over simulated time,
 per-worker busy seconds, scheduler invocation latency (simulated
-overhead and real wall-clock), plan sizes and deadline slack. Its
-``emit`` is also the one span hook of an attached live plane
-(:mod:`repro.obs.live`): boundary flush, flight-recorder store, and
-the outcome and trigger hooks in the fold chain.
-"""
+overhead and real wall-clock), plan sizes and deadline slack. Each
+span costs one lookup in a ``kind -> fold`` table built with the
+tracer, whose folds hold their metric objects. ``emit`` is also the
+one span hook of an attached live plane (:mod:`repro.obs.live`):
+boundary flush and flight-recorder store, then the outcome and
+trigger hooks inside the folds."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.obs import spans as sp
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import (
-    ADMISSION_CHANGE,
-    ANOMALY,
-    ARRIVAL,
-    COMPLETE,
-    DEGRADE_MODE,
-    DEGRADED,
-    DISPATCH,
-    ENTER_BUFFER,
-    FAST_PATH,
-    INCIDENT,
-    PLAN,
-    QUEUE_WAIT,
-    REJECT,
-    REQUEUE,
-    RESTORE,
-    RETRY,
-    ROUTE,
-    SCALE_DOWN,
-    SCALE_UP,
-    SCHED_FALLBACK,
-    SCHED_PHASE,
-    SCHEDULE,
-    SHED,
-    SLO_BREACH,
-    SLO_RECOVERED,
-    SNAPSHOT,
-    TASK_FAILED,
-    WORKER_DOWN,
-    Span,
-)
+from repro.obs.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import
     from repro.obs.live import LiveTelemetry
     from repro.obs.slo import SLOMonitor
+
+#: Kinds that reach the live plane's recorder before their counter
+#: moves (``anomaly`` fires from the watchdog, at a boundary).
+_TRIGGERS = frozenset(
+    (sp.WORKER_DOWN, sp.SLO_BREACH, sp.SCALE_UP, sp.DEGRADE_MODE)
+)
+
+#: Kinds whose fold is one count: kind -> counter. Control-plane
+#: actuations count too, so profile/explain/diff see the controller.
+_COUNTED = {
+    sp.ARRIVAL: "queries.arrived", sp.FAST_PATH: "queries.fast_path",
+    sp.RETRY: "tasks.retried", sp.DEGRADED: "queries.degraded",
+    sp.SHED: "admission.shed", sp.SLO_BREACH: "slo.breaches",
+    sp.SLO_RECOVERED: "slo.recoveries", sp.SCALE_UP: "control.scale_ups",
+    sp.SCALE_DOWN: "control.scale_downs", sp.RESTORE: "control.restores",
+    sp.DEGRADE_MODE: "control.degrades", sp.INCIDENT: "incident.bundles",
+    sp.ADMISSION_CHANGE: "control.admission_changes",
+    sp.SNAPSHOT: "telemetry.snapshots",
+}
+#: Counted kinds that also sample a gauge: kind -> (gauge, attribute).
+_SAMPLED = {
+    sp.SCALE_UP: ("control.replica_level", "level"),
+    sp.SCALE_DOWN: ("control.replica_level", "level"),
+    sp.ADMISSION_CHANGE: ("control.queue_limit", "queue_limit"),
+}
 
 
 class Tracer:
@@ -109,7 +106,7 @@ class RecordingTracer(Tracer):
             driven from :meth:`emit` alone: each span flushes the
             snapshot boundaries it passes before it is stored or
             folded, so windows partition the stream exactly, and the
-            fold chain hands outcome and trigger kinds to the plane.
+            folds hand outcome and trigger kinds to the plane.
             The plane's own ``snapshot``/``anomaly``/``incident`` spans
             come back out through this tracer. ``None`` (the default)
             keeps the emit path identical to pre-live behaviour.
@@ -137,17 +134,8 @@ class RecordingTracer(Tracer):
         self.worker_busy: Dict[int, float] = {}
         self.worker_model: Dict[int, int] = {}
         self.worker_downtime: Dict[int, float] = {}
-        m = self.metrics
-        self._buffer_depth = m.gauge("buffer.depth")
-        self._sched_wall = m.histogram("scheduler.wall_s", compression)
-        self._sched_sim = m.histogram(
-            "scheduler.overhead_sim_s", compression
-        )
-        self._sched_batch = m.histogram("scheduler.batch_size", compression)
-        self._plan_size = m.histogram("plan.size", compression)
-        self._slack = m.histogram("deadline.slack_s", compression)
-        self._latency = m.histogram("query.latency_s", compression)
         self.compression = compression
+        self._folds = self._fold_table()
         if slo is not None:
             slo.bind(self)
         if live is not None:
@@ -157,18 +145,13 @@ class RecordingTracer(Tracer):
         """Record one lifecycle event and update the derived metrics."""
         live = self.live
         if live is not None:
-            # The live plane's one span hook, inline because an extra
-            # Python call per span would be its largest cost. A span
-            # past a snapshot boundary flushes it before it is stored
-            # or folded, so it stays out of the closed window (its
-            # snapshot and the bundles frozen at it) and after the
-            # boundary's snapshot span in the kept stream. The
-            # re-entrancy guard only matters at a boundary: the
-            # plane's own spans are meta kinds and _flush advances
-            # _next_due before emitting. The recorder's row list takes
-            # every span; with kept spans its list is this tracer's
-            # own. Outcome and trigger kinds reach the plane from their
-            # branches of the fold chain below.
+            # The live plane's one span hook, inline: an extra call per
+            # span would be its largest cost. A span past a boundary
+            # flushes it before it is stored or folded, so it stays out
+            # of the closed window and after the boundary's snapshot
+            # span (the guard matters only there: _flush advances
+            # _next_due before its meta spans). The recorder's rows take
+            # every span; with kept spans they are this tracer's own.
             if time >= live._next_due and not live._emitting:
                 live._flush(time)
             ring_append = live._ring_append
@@ -178,145 +161,162 @@ class RecordingTracer(Tracer):
             self.spans.append(Span(kind, time, query_id, attrs))
         if time > self.end_time:
             self.end_time = time
-        metrics = self.metrics
-        if kind == DISPATCH:
-            metrics.counter("tasks.dispatched").inc()
+        fold = self._folds.get(kind)
+        if fold is not None:
+            fold(time, query_id, attrs)
+
+    def _fold_table(self) -> Dict[str, Callable[[float, int, dict], None]]:
+        """``kind -> fold(time, query_id, attrs)``, folds holding their
+        metrics: the histograms and depth gauge from construction, every
+        other metric from the first fold that moves it. The watchdog sees
+        a resolved query before its fold, the ``slo`` monitor after it;
+        a trigger kind reaches the recorder before its counter moves, so
+        a bundle never counts its own trigger."""
+        metrics, slo, live = self.metrics, self.slo, self.live
+        watchdog = live.watchdog if live is not None else None
+        ingest = watchdog.ingest if watchdog is not None else None
+        trigger = live._maybe_trigger if live is not None else None
+        depth = metrics.gauge("buffer.depth").sample
+        wall, sim, batch, plan_size, slack, latency = (
+            metrics.histogram(name, self.compression)._digest
+            for name in (
+                "scheduler.wall_s", "scheduler.overhead_sim_s",
+                "scheduler.batch_size", "plan.size", "deadline.slack_s",
+                "query.latency_s",
+            )
+        )
+        busy, model = self.worker_busy, self.worker_model
+        downtime = self.worker_downtime
+
+        def held(make, prefix=None):
+            """``get(key)``: the metric ``make`` names ``prefix.key``
+            (``key`` without a prefix), created by its first use."""
+            bound = {}
+
+            def get(key):
+                metric = bound.get(key)
+                if metric is None:
+                    metric = bound[key] = make(
+                        key if prefix is None else f"{prefix}.{key}"
+                    )
+                return metric
+            return get
+
+        count, gauge = held(metrics.counter), held(metrics.gauge)
+        failed = held(metrics.counter, "tasks.failed")
+        shard = held(metrics.counter, "router.shard")
+        anomaly = held(metrics.counter, "anomaly")
+        phase = held(metrics.counter, "sched.phase_s")
+        waits = held(lambda name: metrics.histogram(name, self.compression))
+
+        def counting(kind, name):
+            hook = trigger if kind in _TRIGGERS else None
+            sampled, attr = _SAMPLED.get(kind, (None, None))
+
+            def fold(time, query_id, attrs):
+                if hook is not None:
+                    hook(kind, time, query_id, attrs)
+                count(name).value += 1.0
+                if sampled is not None:
+                    gauge(sampled).sample(time, attrs.get(attr, 0))
+            return fold
+
+        def dispatch(time, query_id, attrs):
+            count("tasks.dispatched").value += 1.0
             worker = int(attrs["worker"])
-            self.worker_busy[worker] = (
-                self.worker_busy.get(worker, 0.0)
+            busy[worker] = (
+                busy.get(worker, 0.0)
                 + float(attrs["finish"]) - float(attrs["start"])
             )
-            self.worker_model.setdefault(worker, int(attrs["model"]))
-        elif kind == ARRIVAL:
-            metrics.counter("queries.arrived").inc()
-        elif kind == ENTER_BUFFER:
-            self._buffer_depth.sample(time, attrs["depth"])
-        elif kind == SCHEDULE:
-            metrics.counter("scheduler.invocations").inc()
-            self._sched_wall.add(attrs["wall_s"])
-            self._sched_sim.add(attrs["overhead_sim_s"])
-            self._sched_batch.add(attrs["batch"])
-            self._buffer_depth.sample(time, attrs["depth"])
-        elif kind == PLAN:
-            self._plan_size.add(attrs["size"])
-        elif kind == COMPLETE:
-            if live is not None and live.watchdog is not None:
-                live.watchdog.ingest(
+            model.setdefault(worker, int(attrs["model"]))
+
+        def schedule(time, query_id, attrs):
+            count("scheduler.invocations").value += 1.0
+            wall.add(attrs["wall_s"])
+            sim.add(attrs["overhead_sim_s"])
+            batch.add(attrs["batch"])
+            depth(time, attrs["depth"])
+
+        def complete(time, query_id, attrs):
+            if ingest is not None:
+                ingest(
                     missed=float(attrs["slack"]) < 0.0,
                     latency=float(attrs["latency"]),
                 )
-            metrics.counter("queries.completed").inc()
-            self._slack.add(attrs["slack"])
-            self._latency.add(attrs["latency"])
-            if self.slo is not None:
-                self.slo.observe(
+            count("queries.completed").value += 1.0
+            slack.add(attrs["slack"])
+            latency.add(attrs["latency"])
+            if slo is not None:
+                slo.observe(
                     time,
                     missed=float(attrs["slack"]) < 0.0,
                     degraded=bool(attrs.get("degraded", False)),
                 )
-        elif kind == REJECT:
-            if live is not None and live.watchdog is not None:
-                live.watchdog.ingest(missed=True, latency=None)
-            metrics.counter("queries.rejected").inc()
-            if self.slo is not None:
-                self.slo.observe(time, missed=True)
-        elif kind == REQUEUE:
-            self._buffer_depth.sample(time, attrs["depth"])
-        elif kind == FAST_PATH:
-            metrics.counter("queries.fast_path").inc()
-        elif kind == TASK_FAILED:
-            metrics.counter("tasks.failed").inc()
-            metrics.counter(f"tasks.failed.{attrs.get('reason', '?')}").inc()
-        elif kind == RETRY:
-            metrics.counter("tasks.retried").inc()
-        elif kind == WORKER_DOWN:
-            # Every trigger hooks before its fold: a frozen bundle's
-            # totals never count the trigger span itself.
-            if live is not None:
-                live._maybe_trigger(kind, time, query_id, attrs)
-            metrics.counter("workers.crashes").inc()
+
+        def reject(time, query_id, attrs):
+            if ingest is not None:
+                ingest(missed=True, latency=None)
+            count("queries.rejected").value += 1.0
+            if slo is not None:
+                slo.observe(time, missed=True)
+
+        def task_failed(time, query_id, attrs):
+            count("tasks.failed").value += 1.0
+            failed(attrs.get("reason", "?")).value += 1.0
+
+        def worker_down(time, query_id, attrs):
+            if trigger is not None:
+                trigger(sp.WORKER_DOWN, time, query_id, attrs)
+            count("workers.crashes").value += 1.0
             worker = int(attrs["worker"])
-            self.worker_downtime[worker] = (
-                self.worker_downtime.get(worker, 0.0)
-                + float(attrs["until"]) - time
+            downtime[worker] = (
+                downtime.get(worker, 0.0) + float(attrs["until"]) - time
             )
-        elif kind == DEGRADED:
-            metrics.counter("queries.degraded").inc()
-        elif kind == SCHED_FALLBACK:
-            # Learned fast-path scheduler: one span per invocation,
-            # split into size-routed calls, DP fallbacks and
-            # fast-path-served plans, so the fallback rate over the
-            # calls offered to the fast path is a first-class metric
-            # (sched.fallbacks / (sched.fallbacks + sched.fast_served)).
-            if attrs.get("size_routed", False):
-                metrics.counter("sched.size_routed").inc()
-            elif attrs.get("fallback", False):
-                metrics.counter("sched.fallbacks").inc()
-            else:
-                metrics.counter("sched.fast_served").inc()
-        elif kind == ROUTE:
-            # Fleet front-end placement (repro.fleet): every admitted
-            # query is routed exactly once; redirected marks a query
-            # whose policy-chosen shard was full and was re-routed by
-            # admission control instead of shed.
-            metrics.counter("router.routed").inc()
-            metrics.counter(f"router.shard.{attrs['shard']}").inc()
-            metrics.counter("admission.admitted").inc()
+
+        def sched_fallback(time, query_id, attrs):
+            # Learned scheduler, one span per call: the fallback rate is
+            # sched.fallbacks / (sched.fallbacks + sched.fast_served).
+            count(
+                "sched.size_routed" if attrs.get("size_routed", False)
+                else "sched.fallbacks" if attrs.get("fallback", False)
+                else "sched.fast_served"
+            ).value += 1.0
+
+        def route(time, query_id, attrs):
+            # Fleet front-end placement: every admitted query is routed
+            # once; redirected marks a re-route by admission control.
+            count("router.routed").value += 1.0
+            shard(attrs["shard"]).value += 1.0
+            count("admission.admitted").value += 1.0
             if attrs.get("redirected", False):
-                metrics.counter("router.redirected").inc()
-        elif kind == SHED:
-            metrics.counter("admission.shed").inc()
-        elif kind == SLO_BREACH:
-            if live is not None:
-                live._maybe_trigger(kind, time, query_id, attrs)
-            metrics.counter("slo.breaches").inc()
-        elif kind == SLO_RECOVERED:
-            metrics.counter("slo.recoveries").inc()
-        elif kind == SCALE_UP:
-            # Control plane (repro.control): capacity and quality
-            # actuations show up as counters so profile/explain/diff
-            # see controller activity without parsing the action log.
-            if live is not None:
-                live._maybe_trigger(kind, time, query_id, attrs)
-            metrics.counter("control.scale_ups").inc()
-            metrics.gauge("control.replica_level").sample(
-                time, attrs.get("level", 0)
-            )
-        elif kind == SCALE_DOWN:
-            metrics.counter("control.scale_downs").inc()
-            metrics.gauge("control.replica_level").sample(
-                time, attrs.get("level", 0)
-            )
-        elif kind == DEGRADE_MODE:
-            if live is not None:
-                live._maybe_trigger(kind, time, query_id, attrs)
-            metrics.counter("control.degrades").inc()
-        elif kind == RESTORE:
-            metrics.counter("control.restores").inc()
-        elif kind == ADMISSION_CHANGE:
-            metrics.counter("control.admission_changes").inc()
-            metrics.gauge("control.queue_limit").sample(
-                time, attrs.get("queue_limit", 0)
-            )
-        elif kind == SCHED_PHASE:
-            metrics.counter(
-                f"sched.phase_s.{attrs.get('phase', '?')}"
-            ).inc(float(attrs.get("wall_s", 0.0)))
-        elif kind == QUEUE_WAIT:
-            # Created lazily: unprofiled runs never see this span kind,
-            # so their registries keep the pre-profiling metric set.
-            metrics.histogram(
-                "task.queue_wait_s", self.compression
-            ).add(float(attrs["wait_s"]))
-        elif kind == SNAPSHOT:
-            metrics.counter("telemetry.snapshots").inc()
-        elif kind == ANOMALY:
-            metrics.counter("anomaly.detected").inc()
-            metrics.counter(
-                f"anomaly.{attrs.get('signal', '?')}"
-            ).inc()
-        elif kind == INCIDENT:
-            metrics.counter("incident.bundles").inc()
+                count("router.redirected").value += 1.0
+
+        def detected(time, query_id, attrs):
+            anomaly("detected").value += 1.0
+            anomaly(attrs.get("signal", "?")).value += 1.0
+
+        table = {kind: counting(kind, name) for kind, name in _COUNTED.items()}
+        table.update({
+            sp.DISPATCH: dispatch,
+            sp.ENTER_BUFFER: lambda t, q, attrs: depth(t, attrs["depth"]),
+            sp.REQUEUE: lambda t, q, attrs: depth(t, attrs["depth"]),
+            sp.SCHEDULE: schedule,
+            sp.PLAN: lambda t, q, attrs: plan_size.add(attrs["size"]),
+            sp.COMPLETE: complete,
+            sp.REJECT: reject,
+            sp.TASK_FAILED: task_failed,
+            sp.WORKER_DOWN: worker_down,
+            sp.SCHED_FALLBACK: sched_fallback,
+            sp.ROUTE: route,
+            sp.SCHED_PHASE: lambda t, q, attrs: phase(
+                attrs.get("phase", "?")
+            ).inc(float(attrs.get("wall_s", 0.0))),
+            sp.QUEUE_WAIT: lambda t, q, attrs: waits(
+                "task.queue_wait_s"
+            ).add(float(attrs["wait_s"])),
+            sp.ANOMALY: detected,
+        })
+        return table
 
     def finalize(self, end_time: float) -> None:
         """Freeze the trace end; later ``utilization`` uses it."""

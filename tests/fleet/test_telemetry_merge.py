@@ -364,3 +364,37 @@ class TestLeanEqualsKept:
         assert [incident_fingerprint(b) for b in lean.live.incidents] == [
             incident_fingerprint(b) for b in kept.live.incidents
         ]
+
+
+class TestLivePlaneNeverSteers:
+    """Snapshot boundaries checkpoint histograms by reference: a
+    controlled fleet's registry histograms equal those of the same
+    fleet traced without a live plane."""
+
+    @staticmethod
+    def histograms(live):
+        policy, quality = make_policy()
+        tracer = RecordingTracer(
+            keep_spans=False,
+            live=LiveTelemetry(live_config(0.25), source="fleet")
+            if live else None,
+        )
+        FleetServer.from_config(
+            LATENCIES, policy,
+            FleetConfig.uniform(
+                N_SHARDS, FAULTY, router="power_of_two", queue_limit=6,
+                seed=0, control=CONTROL,
+            ),
+            tracer=tracer,
+        ).run(grid_workload(quality, n=3000))
+        if live:
+            assert len(tracer.live.snapshots) > 10
+        return {
+            name: hist.checkpoint()
+            for name, hist in no_wall(
+                metrics_of(tracer.metrics, StreamingHistogram)
+            ).items()
+        }
+
+    def test_registry_histograms_equal_a_run_without_the_plane(self):
+        assert self.histograms(live=True) == self.histograms(live=False)

@@ -6,6 +6,7 @@ within 1% relative error of exact quantiles while retaining >= 100x
 fewer values than exact computation would.
 """
 
+import copy
 import json
 import math
 
@@ -190,6 +191,53 @@ class TestSerialization:
         clone = QuantileDigest.from_dict(QuantileDigest().to_dict())
         assert clone.count == 0
         assert np.isnan(clone.quantile(0.5))
+
+
+class TestCheckpointByReference:
+    """``state()`` holds the digest's state by reference; it must keep
+    the bytes it had however the digest moves on, and never move it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.lists(st.floats(-5.0, 5.0), max_size=400),
+        after=st.lists(st.floats(-5.0, 5.0), max_size=400),
+        compress_at_checkpoint=st.booleans(),
+        merges=st.integers(0, 2),
+    )
+    def test_serializes_as_a_copy_taken_then(
+        self, before, after, compress_at_checkpoint, merges
+    ):
+        digest = QuantileDigest(compression=8, buffer_size=32)
+        for value in before:
+            digest.add(value)
+        if compress_at_checkpoint:
+            digest._compress()
+        snapshot = copy.deepcopy(digest)
+        state = digest.state()
+        for value in after:  # fills, compresses and swaps the buffer
+            digest.add(value)
+        for _ in range(merges):
+            digest.merge(fill(after[:50], compression=8))
+        digest.quantile(0.5)
+        expected = json.dumps(snapshot.to_dict())
+        assert json.dumps(QuantileDigest.from_state(state).to_dict()) == (
+            expected
+        )
+        # A second read of the same checkpoint reads the same bytes.
+        assert json.dumps(QuantileDigest.from_state(state).to_dict()) == (
+            expected
+        )
+
+    def test_taking_a_checkpoint_does_not_steer(self):
+        rng = np.random.default_rng(3)
+        values = rng.exponential(1.0, 5_000)
+        watched, alone = QuantileDigest(), QuantileDigest()
+        for i, value in enumerate(values):
+            watched.add(value)
+            alone.add(value)
+            if i % 97 == 0:
+                QuantileDigest.from_state(watched.state()).to_dict()
+        assert watched.to_dict() == alone.to_dict()
 
 
 def reference_merge_sorted(self):

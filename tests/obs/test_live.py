@@ -8,11 +8,17 @@ that end at their boundary in a served run, bundle serialization, and
 the determinism contract (:func:`incident_fingerprint`).
 """
 
+import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.data.traces import diurnal_trace
+from repro.faults import FaultPlan
+from repro.obs.digest import QuantileDigest
 from repro.obs.live import (
     INCIDENT_SCHEMA,
     AnomalyWatchdog,
@@ -34,8 +40,10 @@ from repro.obs.spans import (
     TASK_FAILED,
     WORKER_DOWN,
 )
+from repro.obs.metrics import StreamingHistogram
 from repro.obs.tracer import RecordingTracer
 from repro.scheduling.dp import DPScheduler
+from repro.serving.config import ServerConfig
 from repro.serving.policies import BufferedSchedulingPolicy
 from repro.serving.server import EnsembleServer
 from repro.serving.workload import ServingWorkload
@@ -159,6 +167,177 @@ class TestRollup:
     def test_rollup_of_nothing_raises(self):
         with pytest.raises(ValueError):
             TelemetrySnapshot.rollup([])
+
+
+def eager_rollup_digests(snapshots):
+    """The oracle: a rollup's digests as the merge at the boundary
+    computed them, one ``from_dict`` per part, merged in part order."""
+    parts = {}
+    for snap in snapshots:
+        for name, state in snap.digests.items():
+            parts.setdefault(name, []).append(QuantileDigest.from_dict(state))
+    digests = {}
+    for name, (first, *rest) in parts.items():
+        first.merge(*rest)
+        digests[name] = first.to_dict()
+    return digests
+
+
+class TestRollupMergedOnRead:
+    """A rollup keeps its parts and merges their digests when read."""
+
+    def _parts(self, extra):
+        planes = []
+        for n in (40, 70):
+            live = LiveTelemetry(LiveConfig(cadence=1.0))
+            tracer = RecordingTracer(live=live, compression=8)
+            feed_window(tracer, 0.0, n=n, latency=0.01 + 0.001 * n)
+            planes.append((tracer, live))
+        parts = [live.cut(1.0) for _, live in planes]
+        rollup = TelemetrySnapshot.rollup(parts)
+        for tracer, _ in planes:  # the sources move on
+            for i in range(extra):
+                complete(tracer, 1.5, 5000 + i, latency=0.5 + i)
+            tracer.finalize(3.0)
+        return parts, rollup
+
+    def test_read_later_equals_the_eager_merge(self):
+        eager_parts, _ = self._parts(extra=0)
+        expected = eager_rollup_digests(eager_parts)
+        _, rollup = self._parts(extra=300)
+        assert rollup.digests == expected
+        assert rollup.to_dict()["digests"] == expected
+
+    def test_parts_read_later_serialize_as_cut(self):
+        before, _ = self._parts(extra=0)
+        after, _ = self._parts(extra=300)
+        assert [p.digests for p in after] == [p.digests for p in before]
+
+
+class TestRacingFirstReads:
+    """Readers on other threads (the console, ``/snapshot``) read a
+    snapshot's digests while the run goes on: every read of a cut must
+    see the digests as they were at the cut."""
+
+    def test_threads_read_the_cut_while_the_run_moves_on(self):
+        live = LiveTelemetry(LiveConfig(cadence=1e9))
+        tracer = RecordingTracer(live=live, compression=8)
+        histogram = tracer.metrics.get("query.latency_s")
+        rng = np.random.default_rng(0)
+        cuts, expected = [], []
+        for i in range(120):
+            for _ in range(int(rng.integers(1, 40))):
+                complete(tracer, 0.5, i, latency=float(rng.exponential()))
+            cuts.append(live.cut(0.5))
+            expected.append(
+                copy.deepcopy(histogram._digest).to_dict()
+            )
+        seen = [[] for _ in cuts]
+
+        def read():
+            for i, snap in enumerate(cuts):
+                seen[i].append(snap.digests["query.latency_s"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for reader in readers:
+                reader.start()
+            for i in range(3000):  # the run keeps filling and swapping
+                complete(tracer, 0.6, 10_000 + i, latency=0.1 * (i % 7))
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        for want, got in zip(expected, seen):
+            assert got == [want] * 4
+
+
+def served(seed, live):
+    """A DP-scheduled diurnal day on one server, spans kept; latency
+    jitter keeps the latencies free of ties."""
+    trace = diurnal_trace(90.0, 40.0, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    quality = rng.uniform(0.3, 1.0, size=(64, 8))
+    quality[:, 0] = 0.0
+    workload = ServingWorkload(
+        arrivals=trace.arrivals,
+        deadlines=np.full(len(trace), 0.08),
+        sample_indices=rng.integers(64, size=len(trace)),
+        quality=quality,
+    )
+    utilities = np.ones((64, 8))
+    utilities[:, 0] = 0.0
+    policy = BufferedSchedulingPolicy(
+        "schemble", DPScheduler(delta=0.05), utilities
+    )
+    tracer = RecordingTracer(
+        live=LiveTelemetry(LiveConfig(cadence=1.0)) if live else None
+    )
+    config = ServerConfig(faults=FaultPlan(seed=seed, latency_jitter=0.1))
+    EnsembleServer.from_config(
+        [0.010, 0.022, 0.045], policy, config, tracer=tracer
+    ).run(workload)
+    return tracer
+
+
+def histogram_checkpoints(tracer):
+    """Every registry histogram's serialized digest, wall clock aside."""
+    registry = tracer.metrics
+    return {
+        name: registry.get(name).checkpoint()
+        for name in registry.names()
+        if isinstance(registry.get(name), StreamingHistogram)
+        and "wall" not in name
+    }
+
+
+def rank_error(values, estimate, q):
+    """Distance from q to the estimate's rank range (ties span one)."""
+    low = np.searchsorted(values, estimate, "left") / values.size
+    high = np.searchsorted(values, estimate, "right") / values.size
+    return max(low - q, q - high, 0.0)
+
+
+class TestPlaneWatchesNeverSteers:
+    """Snapshots checkpoint histograms by reference, so a boundary never
+    compresses the registry's digests."""
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_registry_histograms_equal_a_run_without_the_plane(self, seed):
+        watched = served(seed, live=True)
+        assert len(watched.live.snapshots) >= 30
+        assert watched.metrics.get("query.latency_s").count > 2048
+        assert histogram_checkpoints(watched) == histogram_checkpoints(
+            served(seed, live=False)
+        )
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_snapshot_quantiles_rank_within_one_percent(self, seed):
+        # Each snapshot serializes a copy of the registry digests, which
+        # no boundary compressed: its p50/p95/p99 must keep the digest's
+        # rank bound (test_digest.py) against the exact latencies up to
+        # its boundary, give or take the one rank step a stream of n
+        # values resolves.
+        tracer = served(seed, live=True)
+        snapshots = list(tracer.live.snapshots)
+        latencies = []
+        checked = 0
+        for span in tracer.spans:
+            if span.kind == COMPLETE:
+                latencies.append(span.attrs["latency"])
+            elif span.kind == SNAPSHOT and latencies:
+                snap = snapshots[span.attrs["seq"]]
+                exact = np.sort(latencies)
+                for q in (0.5, 0.95, 0.99):
+                    estimate = snap.quantile("query.latency_s", q)
+                    assert rank_error(exact, estimate, q) <= (
+                        0.01 + 1.0 / exact.size
+                    ), (snap.seq, q)
+                checked += 1
+        assert checked == len(snapshots)
 
 
 class TestAnomalyWatchdog:
