@@ -323,10 +323,10 @@ def check_overhead(quick=False):
             )
         ),
         # The flight-recorder gate pair, in the production config (the
-        # CLI and fleet keep spans): with the tracer's span list kept,
-        # the live plane runs span-backed — the ring is a view over the
-        # list tail and a plain span costs only the boundary compare
-        # plus one dict lookup.
+        # CLI and fleet keep spans): the tracer stores each span once,
+        # as a row, and the live plane's ring is a window over those
+        # rows, so a plain span costs the plane only the boundary
+        # compare.
         "recording_kept": lambda: run_server(RecordingTracer()),
         "live_tracer": (
             lambda: run_server(RecordingTracer(

@@ -773,9 +773,10 @@ def _cmd_trace(args) -> str:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{args.task}_{args.policy}"
-    spans_path = write_spans_jsonl(tracer.spans, out_dir / f"{stem}_spans.jsonl")
+    spans = tracer.spans
+    spans_path = write_spans_jsonl(spans, out_dir / f"{stem}_spans.jsonl")
     timeline_path = write_chrome_trace(
-        tracer.spans, out_dir / f"{stem}_timeline.json"
+        spans, out_dir / f"{stem}_timeline.json"
     )
     decisions_path = explain_log.write_jsonl(
         out_dir / f"{stem}_decisions.jsonl"

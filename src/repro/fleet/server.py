@@ -653,7 +653,7 @@ class FleetServer:
         end = max(
             [t.end_time for t in shard_tracers]
             + [session.now for session in sessions]
-            + [span.time for span in ctrl_tracer.spans[-1:]]
+            + [row[1] for row in ctrl_tracer.rows[-1:]]
             + [float(t) for t in workload.arrivals[-1:]],
             default=0.0,
         )

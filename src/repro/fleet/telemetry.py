@@ -18,8 +18,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import islice, starmap
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.obs import spans as sp
@@ -36,6 +36,9 @@ _FRONT_KINDS = frozenset((sp.ROUTE, sp.SHED, sp.REJECT))
 _TERMINAL_KINDS = frozenset((sp.COMPLETE, sp.REJECT))
 
 _ITEM_KEY = itemgetter(0, 1, 2, 3)
+
+#: A row's time, the key of every bisect over recorder rows.
+_TIME = itemgetter(1)
 
 
 class FleetTelemetry:
@@ -142,10 +145,10 @@ class FleetTelemetry:
                     )
                     i += 1
                 self._marks_at[shard] = i
-        spans = self.ctrl.spans
+        rows = self.ctrl.rows
         i = self._ctrl_at
-        while i < len(spans) and spans[i].time < cut:
-            items.append((spans[i].time, n, i, 0, spans[i]))
+        while i < len(rows) and rows[i][1] < cut:
+            items.append((rows[i][1], n, i, 0, rows[i]))
             i += 1
         self._ctrl_at = i
         items.sort(key=_ITEM_KEY)
@@ -162,14 +165,11 @@ class FleetTelemetry:
             if live is not None and t >= live._next_due:
                 self._tick(t)
             key = None
-            if stream == -1:
+            if stream == -1 or stream == n:  # a front-end or control row
                 kind, _, qid, attrs = item
-                if slo is not None:
-                    self._position = (t, -1, None, None)
+                if stream == n or slo is not None:
+                    self._position = (t, stream, None, None)
                 tracer.emit(kind, t, qid, **attrs)
-            elif stream == n:
-                self._position = (t, n, None, None)
-                tracer.emit(item.kind, t, item.query_id, **item.attrs)
             elif len(item) == 5:  # a shard's trigger mark
                 _, kind, qid, attrs, row = item
                 # The bundle's window ends at the trigger row; its
@@ -208,26 +208,24 @@ class FleetTelemetry:
             for shard_tracer in self.shard_tracers:
                 recorder = shard_tracer.live.recorder
                 recorder.hold = recorder.base + bisect.bisect_left(
-                    recorder.rows, cut, key=recorder.time_of
+                    recorder.rows, cut, key=_TIME
                 )
 
     def _rows(self, shard: int):
-        """Shard ``shard``'s rows as ``(rows, base, kind_of)``, or None
-        when it keeps none (no spans, no live plane)."""
+        """Shard ``shard``'s rows as ``(rows, base)``, or None when it
+        keeps none (no spans, no live plane)."""
         shard_tracer = self.shard_tracers[shard]
-        if shard_tracer.live is not None:
-            recorder = shard_tracer.live.recorder
-            return recorder.rows, recorder.base, recorder.kind_of
-        if shard_tracer.keep_spans:
-            return shard_tracer.spans, 0, attrgetter("kind")
-        return None
+        if shard_tracer.rows is None:
+            return None
+        live = shard_tracer.live
+        return shard_tracer.rows, 0 if live is None else live.recorder.base
 
     def _terminal_row(self, shard: int, rows) -> int:
         """Absolute row of the shard's next ``complete``/``reject``:
         outcomes and terminal spans come in the same order."""
-        rows, base, kind_of = rows
+        rows, base = rows
         i = max(self._terminal_at[shard], base)
-        while kind_of(rows[i - base]) not in _TERMINAL_KINDS:
+        while rows[i - base][0] not in _TERMINAL_KINDS:
             i += 1
         self._terminal_at[shard] = i + 1
         return i
@@ -249,8 +247,8 @@ class FleetTelemetry:
         with ``key``, or at their boundary (before that instant's
         spans) when they came from a flush."""
         keys = self._keys
-        for span in self.tracer.spans[len(keys):]:
-            keys.append(key if key is not None else (span.time, -2, 0, 0))
+        for row in self.tracer.rows[len(keys):]:
+            keys.append(key if key is not None else (row[1], -2, 0, 0))
 
     def finish(self, end: float) -> Optional[List[List[Span]]]:
         """Fold the rest, finalize the fleet tracer at ``end`` and merge
@@ -290,22 +288,19 @@ class FleetTelemetry:
                     ours[worker + offset] = value
         if not tracer.keep_spans:
             return None
-        shard_spans = [
-            [
-                self._span(shard, (s.kind, s.time, s.query_id, s.attrs),
-                           offsets)
-                for s in shard_tracer.spans
-            ]
+        shard_rows = [
+            [self._remap(shard, row, offsets) for row in shard_tracer.rows]
             for shard, shard_tracer in enumerate(self.shard_tracers)
         ]
-        streams = [zip(self._keys, tracer.spans)] + [
-            zip([(s.time, shard, i, 0) for i, s in enumerate(spans)], spans)
-            for shard, spans in enumerate(shard_spans)
+        streams = [zip(self._keys, tracer.rows)] + [
+            zip([(row[1], shard, i, 0) for i, row in enumerate(rows)], rows)
+            for shard, rows in enumerate(shard_rows)
         ]
-        tracer.spans[:] = [
-            span for _, span in heapq.merge(*streams, key=itemgetter(0))
+        # In place: the fleet plane's recorder reads this same list.
+        tracer.rows[:] = [
+            row for _, row in heapq.merge(*streams, key=itemgetter(0))
         ]
-        return shard_spans
+        return [list(starmap(Span, rows)) for rows in shard_rows]
 
     # -- remapping -----------------------------------------------------
 
@@ -323,14 +318,14 @@ class FleetTelemetry:
         if "worker" in attrs:
             attrs["worker"] = int(attrs["worker"]) + offsets[shard]
 
-    def _span(self, shard, row, offsets) -> Span:
-        """A shard row as a fleet span: global query id, offset worker
+    def _remap(self, shard, row, offsets) -> tuple:
+        """A shard row as a fleet row: global query id, offset worker
         id and a ``shard`` attribute."""
         kind, time, qid, attrs = row
         attrs = dict(attrs)
         self._remap_attrs(shard, attrs, offsets)
         gid = self.shard_ids[shard][qid] if qid >= 0 else -1
-        return Span(kind, time, gid, attrs)
+        return kind, time, gid, attrs
 
     # -- the fleet plane's hooks ---------------------------------------
 
@@ -376,9 +371,7 @@ class FleetTelemetry:
                 find = bisect.bisect_right if shard <= stream else (
                     bisect.bisect_left
                 )
-                cut = counted = rows.base + find(
-                    rows.rows, t, key=rows.time_of
-                )
+                cut = counted = rows.base + find(rows.rows, t, key=_TIME)
             sources.append(_keyed_back(rows, cut, shard))
             for name, value in self._counters_at(shard, counted).items():
                 totals[name] = totals.get(name, 0.0) + value
@@ -393,7 +386,9 @@ class FleetTelemetry:
                 spans.append(Span(kind, time, qid, dict(attrs)))
             else:
                 recorder = self.shard_tracers[source].live.recorder
-                spans.append(self._span(source, recorder.row(index), offsets))
+                spans.append(Span(*self._remap(
+                    source, recorder.row(index), offsets
+                )))
         return spans, totals
 
     def _own_back(self):

@@ -65,7 +65,6 @@ from repro.obs.export import (
     chrome_trace_events,
     metrics_to_prometheus,
     parse_prometheus_text,
-    prometheus_text,
     read_spans_jsonl,
     write_chrome_trace,
     write_prometheus,
@@ -95,7 +94,6 @@ __all__ = [
     "format_decision",
     "chrome_trace_events",
     "metrics_to_prometheus",
-    "prometheus_text",
     "parse_prometheus_text",
     "read_spans_jsonl",
     "write_chrome_trace",

@@ -19,6 +19,7 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.digest import QuantileDigest
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -248,6 +249,12 @@ def metrics_to_prometheus(registry: MetricsRegistry) -> str:
     identical registries are byte-identical and diffable.
     ``parse_prometheus_text`` is the matching reader (round-trip
     locked by ``tests/obs/test_export.py``).
+
+    Rendering only reads the registry, so a live one can be scraped
+    mid-run from another thread (``repro.obs.serve``): each summary
+    reads a copy of its digest's checkpoint
+    (:meth:`~repro.obs.metrics.StreamingHistogram.state`), never
+    compressing the digest the run is still adding to.
     """
     lines: List[str] = []
     # Sort by the *emitted* family name: sanitisation ("." -> "_") is
@@ -268,20 +275,17 @@ def metrics_to_prometheus(registry: MetricsRegistry) -> str:
                 f"{_prom_value(last if last is not None else float('nan'))}"
             )
         elif isinstance(metric, StreamingHistogram):
+            digest = QuantileDigest.from_state(metric.state())
             lines.append(f"# TYPE {prom} summary")
             for q in (0.5, 0.95, 0.99):
                 lines.append(
                     f'{prom}{{quantile="{_prom_label_value(q)}"}} '
-                    f"{_prom_value(metric.quantile(q))}"
+                    f"{_prom_value(digest.quantile(q))}"
                 )
-            lines.append(f"{prom}_sum {_prom_value(metric.total)}")
-            lines.append(f"{prom}_count {metric.count}")
+            lines.append(f"{prom}_sum {_prom_value(digest.total)}")
+            lines.append(f"{prom}_count {digest.count}")
     return "\n".join(lines) + "\n"
 
-
-#: Backward-compatible alias; ``metrics_to_prometheus`` is the name
-#: the design doc and new call sites use.
-prometheus_text = metrics_to_prometheus
 
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"

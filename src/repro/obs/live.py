@@ -14,8 +14,9 @@ into an *operable* surface while the run is still going:
   and the snapshot serializes it when first read; shard snapshots roll
   up into fleet snapshots whose digests merge when first read (see
   :meth:`TelemetrySnapshot.rollup`).
-* **Flight recorder** — a bounded ring of the most recent spans,
-  always on at O(1) per span. Trigger spans (``slo_breach``, control
+* **Flight recorder** — a window over the tracer's own span rows (the
+  ring is the most recent ``ring_capacity`` of them), so it costs no
+  store of its own. Trigger spans (``slo_breach``, control
   ``scale_up``/``degrade``, ``worker_down``) and the anomaly watchdog
   freeze the ring into an **incident bundle**: the breach-window span
   slice, the control-log slice, recent snapshots, and the top-K
@@ -41,18 +42,18 @@ Attachment: pass a :class:`LiveTelemetry` to
 ``RecordingTracer(live=...)``. ``RecordingTracer.emit`` is the plane's
 one span hook. A span first flushes every snapshot boundary it passes,
 so a window, its snapshot and the bundles frozen at it end at the
-boundary; then the flight recorder stores it; then the tracer's fold
-for its kind hands outcome kinds to the watchdog and trigger kinds to
-the recorder. When ``live`` is ``None`` (the default) the tracer path
-is unchanged and a disabled run stays bit-identical to pre-live
-behaviour (proved by ``benchmarks/bench_obs_overhead.py``)."""
+boundary; then the tracer stores it as a row, which the recorder
+reads; then the tracer's fold for its kind hands outcome kinds to the
+watchdog and trigger kinds to the recorder. When ``live`` is ``None``
+(the default) the tracer path is unchanged and a disabled run stays
+bit-identical to pre-live behaviour (proved by
+``benchmarks/bench_obs_overhead.py``)."""
 
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,6 +84,16 @@ INCIDENT_SCHEMA = "repro.incident/1"
 #: exactly these (``anomaly`` fires from the watchdog at a
 #: boundary, not from a span).
 DEFAULT_TRIGGERS = (SLO_BREACH, SCALE_UP, DEGRADE_MODE, WORKER_DOWN, ANOMALY)
+
+#: Snapshots a plane retains in memory (oldest dropped).
+MAX_SNAPSHOTS = 4096
+#: Most recent snapshots copied into each incident bundle.
+SNAPSHOTS_PER_INCIDENT = 3
+#: Offender queries blamed per incident bundle.
+BLAME_TOP_K = 5
+#: t-digest compression of the watchdog's window and baseline latency
+#: sketches (and of a bundle's blame attribution).
+WATCHDOG_COMPRESSION = 64
 
 #: Kinds the live plane emits about itself — kept in the recorder's
 #: rows (a fleet's totals count them) but never part of the ring or fed
@@ -115,12 +126,6 @@ class LiveConfig:
         incident_cooldown: Simulated seconds between frozen bundles;
             triggers inside the cooldown are counted as suppressed.
         max_incidents: Hard cap on bundles per run.
-        max_snapshots: Snapshots retained in memory (oldest dropped).
-        snapshots_per_incident: Most recent snapshots copied into each
-            bundle.
-        top_k: Offender queries blamed per bundle.
-        compression: t-digest compression of the watchdog's window and
-            baseline latency sketches.
     """
 
     cadence: float = 1.0
@@ -134,10 +139,6 @@ class LiveConfig:
     anomaly_miss_floor: float = 0.2
     incident_cooldown: float = 10.0
     max_incidents: int = 8
-    max_snapshots: int = 4096
-    snapshots_per_incident: int = 3
-    top_k: int = 5
-    compression: int = 64
 
     def __post_init__(self):
         if self.cadence <= 0:
@@ -332,10 +333,10 @@ class AnomalyWatchdog:
         self.anomalies = 0
         self._win_events = 0
         self._win_misses = 0
-        self._win_digest = QuantileDigest(compression=config.compression)
+        self._win_digest = QuantileDigest(compression=WATCHDOG_COMPRESSION)
         self._base_events = 0
         self._base_misses = 0
-        self._base_digest = QuantileDigest(compression=config.compression)
+        self._base_digest = QuantileDigest(compression=WATCHDOG_COMPRESSION)
 
     @property
     def armed(self) -> bool:
@@ -398,84 +399,64 @@ class AnomalyWatchdog:
         self.windows_closed += 1
         self._win_events = 0
         self._win_misses = 0
-        self._win_digest = QuantileDigest(compression=config.compression)
+        self._win_digest = QuantileDigest(compression=WATCHDOG_COMPRESSION)
         return verdict
 
 
 class FlightRecorder:
     """Recent spans plus the freeze-to-bundle logic.
 
-    The recorder reads one list of rows, every span in emission order
-    (the live plane's own meta spans included); its ring is the last
-    ``ring_capacity`` non-meta rows. :meth:`LiveTelemetry.bind` picks
-    the list from the tracer's ``keep_spans``:
-
-    * ``keep_spans=False``: the recorder's own list. The tracer appends
-      each span as a ``(kind, time, query_id, attrs)`` tuple — the
-      attrs dict is shared with the caller, never copied on the hot
-      path — and :meth:`trim` cuts the list back at each snapshot
-      boundary, keeping the ring plus every row from :attr:`hold` on.
-    * ``keep_spans=True`` (:meth:`use_span_list`): the tracer's own
-      span list, so the ring costs nothing per span.
-
-    Either way :meth:`spans` yields the same window and :meth:`freeze`
-    materializes :class:`Span` objects only when a trigger fires.
-    Rows are addressed by absolute index (``base`` counts the rows
+    The recorder is a window over its tracer's :attr:`rows`
+    (``RecordingTracer.rows``, which :meth:`LiveTelemetry.bind` points
+    it at): every span as a ``(kind, time, query_id, attrs)`` tuple in
+    emission order, the live plane's own meta spans included. Its ring
+    is the last ``ring_capacity`` non-meta rows; :meth:`spans` builds
+    them into :class:`Span` objects only when a bundle freezes. Rows
+    are addressed by absolute index (:attr:`base` counts the rows
     trimmed away), which is how a fleet cuts a shard's stream at a
     merged-stream position.
+
+    When the tracer keeps spans the rows are its kept spans and are
+    never cut. When it does not (:attr:`trims`), :meth:`trim` cuts them
+    back at each snapshot boundary, keeping the ring plus every row
+    from :attr:`hold` on.
     """
 
     def __init__(self, config: LiveConfig):
         self._config = config
-        self.rows: List = []
+        self.rows: List[tuple] = []
         self.base = 0
         #: Absolute index of the oldest row a holder still needs (the
         #: fleet merge); None lets :meth:`trim` keep just the ring.
         self.hold: Optional[int] = None
-        self._span_list: Optional[List[Span]] = None
-        self.append = self.rows.append  # hot-path bound method
-        #: Kind and time of a row, whichever store holds it.
-        self.kind_of = itemgetter(0)
-        self.time_of = itemgetter(1)
-
-    def use_span_list(self, spans: List[Span]) -> None:
-        """Back the ring by the tracer's own (growing) span list."""
-        self._span_list = self.rows = spans
-        self.kind_of = attrgetter("kind")
-        self.time_of = attrgetter("time")
+        #: Whether :meth:`trim` cuts the rows (False: they are kept
+        #: spans).
+        self.trims = True
 
     def row(self, index: int) -> Tuple[str, float, int, Dict[str, object]]:
-        """The row at absolute ``index`` as a plain tuple."""
-        row = self.rows[index - self.base]
-        if self._span_list is not None:
-            return row.kind, row.time, row.query_id, row.attrs
-        return row
+        """The row at absolute ``index``."""
+        return self.rows[index - self.base]
 
     def back(self, end: Optional[int] = None):
         """``(index, kind, time)`` of each non-meta row before absolute
         index ``end`` (all rows by default), newest first."""
-        rows, kind_of, time_of = self.rows, self.kind_of, self.time_of
+        rows = self.rows
         i = len(rows) if end is None else end - self.base
         while i > 0:
             i -= 1
-            kind = kind_of(rows[i])
-            if kind not in META_KINDS:
-                yield i + self.base, kind, time_of(rows[i])
+            row = rows[i]
+            if row[0] not in META_KINDS:
+                yield i + self.base, row[0], row[1]
 
     def spans(self) -> List[Span]:
         """The retained window as :class:`Span` objects (oldest first)."""
-        kind_of, cap = self.kind_of, self._config.ring_capacity
+        cap = self._config.ring_capacity
         tail = []
         for row in reversed(self.rows):
-            if kind_of(row) not in META_KINDS:
+            if row[0] not in META_KINDS:
                 tail.append(row)
                 if len(tail) == cap:
                     break
-        if self._span_list is not None:
-            return [
-                Span(s.kind, s.time, s.query_id, dict(s.attrs))
-                for s in reversed(tail)
-            ]
         return [
             Span(kind, time, qid, dict(attrs))
             for kind, time, qid, attrs in reversed(tail)
@@ -483,9 +464,9 @@ class FlightRecorder:
 
     def trim(self) -> None:
         """Drop rows older than the ring before :attr:`hold` (or the
-        end); amortized, so a trim walks at most one ring per two rings
-        of rows it drops."""
-        if self._span_list is not None:
+        end), unless they are kept spans; amortized, so a trim walks at
+        most one ring per two rings of rows it drops."""
+        if not self.trims:
             return
         rows = self.rows
         limit = len(rows)
@@ -521,9 +502,7 @@ class FlightRecorder:
         from repro.obs.profile import LatencyAttributor
 
         window_start = ring_spans[0].time if ring_spans else time
-        attributor = LatencyAttributor(
-            compression=self._config.compression
-        )
+        attributor = LatencyAttributor(compression=WATCHDOG_COMPRESSION)
         attributor.attribute(ring_spans)
         blame = [
             {
@@ -535,9 +514,8 @@ class FlightRecorder:
                 "degraded": bool(a.degraded),
                 "retries": a.retries,
             }
-            for a in attributor.blame(self._config.top_k)
+            for a in attributor.blame(BLAME_TOP_K)
         ]
-        keep = self._config.snapshots_per_incident
         return {
             "schema": INCIDENT_SCHEMA,
             "seq": seq,
@@ -555,7 +533,8 @@ class FlightRecorder:
             },
             "totals": {k: totals[k] for k in sorted(totals)},
             "snapshots": [
-                snap.to_dict() for snap in list(snapshots)[-keep:]
+                snap.to_dict()
+                for snap in list(snapshots)[-SNAPSHOTS_PER_INCIDENT:]
             ],
             "blame": blame,
             "control": control if control is not None else [],
@@ -568,15 +547,14 @@ class LiveTelemetry:
     """The live plane one tracer carries: snapshots + recorder + watchdog.
 
     Construct, hand to ``RecordingTracer(live=...)``, run. The tracer
-    calls :meth:`bind` when attached, which picks the recorder's store
-    from its ``keep_spans``. Its ``emit`` is the one span hook: a span
-    first flushes any snapshot boundary it passes, is then stored (a
-    list append, or nothing when the ring is a view over the tracer's
-    span list), and the tracer's folds hand ``complete``/
-    ``reject`` to the watchdog and trigger kinds to
-    :meth:`_maybe_trigger`. :meth:`tick` lets an epoch driver (a
-    fleet, at each of its stops) flush boundaries through quiet
-    stretches with no spans.
+    calls :meth:`bind` when attached, which points the recorder at the
+    tracer's rows and, from its ``keep_spans``, sets whether the
+    recorder trims them. Its ``emit`` is the one span hook: a span
+    first flushes any snapshot boundary it passes, is then stored as
+    one row, and the tracer's folds hand ``complete``/``reject`` to the
+    watchdog and trigger kinds to :meth:`_maybe_trigger`. :meth:`tick`
+    lets an epoch driver (a fleet, at each of its stops) flush
+    boundaries through quiet stretches with no spans.
 
     State is plain attribute reads, so a background thread (the
     ``--serve-metrics`` endpoint) or the live console repainting while
@@ -591,7 +569,7 @@ class LiveTelemetry:
         self.config = config if config is not None else LiveConfig()
         self.source = source
         self.snapshots: Deque[TelemetrySnapshot] = deque(
-            maxlen=self.config.max_snapshots
+            maxlen=MAX_SNAPSHOTS
         )
         self.incidents: List[Dict[str, object]] = []
         self.suppressed = 0
@@ -610,9 +588,6 @@ class LiveTelemetry:
         self._trigger_set = frozenset(self.config.triggers)
         self._emitting = False
         self._finalized = False
-        # The row list's bound append, which the tracer calls per span;
-        # None once bind makes the ring a span-list view.
-        self._ring_append = self.recorder.append
         #: Set to a list by a fleet merging this plane's stream: each
         #: trigger-kind span then appends ``(time, kind, query_id,
         #: attrs, row)``, ``row`` its absolute recorder index.
@@ -630,10 +605,8 @@ class LiveTelemetry:
             )
         self._tracer = tracer
         self._metrics = tracer.metrics
-        if getattr(tracer, "keep_spans", False):
-            # The tracer's own span list doubles as the flight ring.
-            self.recorder.use_span_list(tracer.spans)
-            self._ring_append = None
+        self.recorder.rows = tracer.rows
+        self.recorder.trims = not tracer.keep_spans
 
     def attach_control_log(self, log) -> None:
         """Attach the controller's action log; bundles then carry the

@@ -217,13 +217,14 @@ class LatencyAttributor:
     def from_tracer(cls, tracer, compression: int = 128) -> "LatencyAttributor":
         """Attribute a live :class:`RecordingTracer`'s span stream
         (requires ``keep_spans=True``, the tracer default)."""
-        if not getattr(tracer, "spans", None):
+        spans = getattr(tracer, "spans", None)
+        if not spans:
             raise ValueError(
                 "tracer holds no spans — construct it with keep_spans=True "
                 "and run the server before attributing"
             )
         attributor = cls(compression)
-        attributor.attribute(tracer.spans)
+        attributor.attribute(spans)
         return attributor
 
     @classmethod

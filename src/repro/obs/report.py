@@ -112,10 +112,12 @@ def _digest_lines(metrics) -> List[str]:
         if hist.count == 0:
             lines.append(f"  {name}: no observations")
             continue
+        # Quantiles first: reading one drains the digest's insertion
+        # buffer, so ``retained`` counts the centroids it was read from.
+        p50, p95, p99 = (hist.quantile(q) for q in (0.5, 0.95, 0.99))
         lines.append(
             f"  {name}: n={hist.count}  retained={hist.n_retained()}  "
-            f"p50={hist.quantile(0.5):.4f}  p95={hist.quantile(0.95):.4f}  "
-            f"p99={hist.quantile(0.99):.4f}"
+            f"p50={p50:.4f}  p95={p95:.4f}  p99={p99:.4f}"
         )
     lines.append("")
     return lines

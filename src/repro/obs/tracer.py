@@ -13,13 +13,16 @@ arrive (streaming, bounded memory): buffer depth over simulated time,
 per-worker busy seconds, scheduler invocation latency (simulated
 overhead and real wall-clock), plan sizes and deadline slack. Each
 span costs one lookup in a ``kind -> fold`` table built with the
-tracer, whose folds hold their metric objects. ``emit`` is also the
-one span hook of an attached live plane (:mod:`repro.obs.live`):
-boundary flush and flight-recorder store, then the outcome and
-trigger hooks inside the folds."""
+tracer, whose folds hold their metric objects. The tracer stores each
+span once, as a ``(kind, time, query_id, attrs)`` row; :class:`Span`
+objects are built from the rows when read. ``emit`` is also the one
+span hook of an attached live plane (:mod:`repro.obs.live`), whose
+flight recorder is a window over the same rows: boundary flush and
+store, then the outcome and trigger hooks inside the folds."""
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs import spans as sp
@@ -89,7 +92,9 @@ class RecordingTracer(Tracer):
 
     Args:
         keep_spans: Set False to keep only the metrics (constant memory
-            for arbitrarily long traces).
+            for arbitrarily long traces): no rows at all without a live
+            plane, and with one only the recent rows its flight recorder
+            trims back to at each snapshot boundary.
         compression: Histogram digest compression δ (quantile accuracy
             vs memory; see :class:`~repro.obs.digest.QuantileDigest`).
         slo: Optional :class:`~repro.obs.slo.SLOMonitor` fed from the
@@ -110,6 +115,12 @@ class RecordingTracer(Tracer):
             The plane's own ``snapshot``/``anomaly``/``incident`` spans
             come back out through this tracer. ``None`` (the default)
             keeps the emit path identical to pre-live behaviour.
+
+    Attributes:
+        rows: The one span store: every span as a ``(kind, time,
+            query_id, attrs)`` tuple in emission order (the attrs dict
+            is the one ``emit`` received, never copied), or ``None``
+            when the tracer neither keeps spans nor carries a plane.
     """
 
     enabled = True
@@ -126,7 +137,9 @@ class RecordingTracer(Tracer):
         self.slo = slo
         self.live = live
         self.profile = bool(profile)
-        self.spans: List[Span] = []
+        self.rows: Optional[List[tuple]] = (
+            [] if keep_spans or live is not None else None
+        )
         self.metrics = MetricsRegistry()
         self.end_time = 0.0
         # Per-worker committed busy seconds, downtime seconds and
@@ -142,28 +155,35 @@ class RecordingTracer(Tracer):
             live.bind(self)
 
     def emit(self, kind: str, time: float, query_id: int = -1, **attrs):
-        """Record one lifecycle event and update the derived metrics."""
+        """Record one lifecycle event and update the derived metrics.
+
+        The live plane's one span hook is inline, because an extra call
+        per span would be its largest cost: a span past a snapshot
+        boundary flushes it before it is stored or folded, so it stays
+        out of the closed window and after the boundary's snapshot span
+        (the guard matters only there: ``_flush`` advances ``_next_due``
+        before its meta spans). Then the span is stored once, as a row.
+        """
         live = self.live
-        if live is not None:
-            # The live plane's one span hook, inline: an extra call per
-            # span would be its largest cost. A span past a boundary
-            # flushes it before it is stored or folded, so it stays out
-            # of the closed window and after the boundary's snapshot
-            # span (the guard matters only there: _flush advances
-            # _next_due before its meta spans). The recorder's rows take
-            # every span; with kept spans they are this tracer's own.
-            if time >= live._next_due and not live._emitting:
-                live._flush(time)
-            ring_append = live._ring_append
-            if ring_append is not None:
-                ring_append((kind, time, query_id, attrs))
-        if self.keep_spans:
-            self.spans.append(Span(kind, time, query_id, attrs))
+        if live is not None and time >= live._next_due and not live._emitting:
+            live._flush(time)
+        rows = self.rows
+        if rows is not None:
+            rows.append((kind, time, query_id, attrs))
         if time > self.end_time:
             self.end_time = time
         fold = self._folds.get(kind)
         if fold is not None:
             fold(time, query_id, attrs)
+
+    @property
+    def spans(self) -> List[Span]:
+        """The kept spans in emission order, a new list of :class:`Span`
+        objects built from :attr:`rows` on each read (empty unless
+        ``keep_spans``)."""
+        if not self.keep_spans:
+            return []
+        return list(starmap(Span, self.rows))
 
     def _fold_table(self) -> Dict[str, Callable[[float, int, dict], None]]:
         """``kind -> fold(time, query_id, attrs)``, folds holding their

@@ -36,7 +36,6 @@ from repro.obs.spans import (
     SNAPSHOT,
     TASK_FAILED,
     WORKER_DOWN,
-    Span,
 )
 from repro.obs.tracer import RecordingTracer
 
@@ -58,26 +57,16 @@ class ReferenceTracer(RecordingTracer):
     def emit(self, kind: str, time: float, query_id: int = -1, **attrs):
         """Record one lifecycle event and update the derived metrics."""
         live = self.live
-        if live is not None:
-            # The live plane's one span hook, inline because an extra
-            # Python call per span would be its largest cost. A span
-            # past a snapshot boundary flushes it before it is stored
-            # or folded, so it stays out of the closed window (its
-            # snapshot and the bundles frozen at it) and after the
-            # boundary's snapshot span in the kept stream. The
-            # re-entrancy guard only matters at a boundary: the
-            # plane's own spans are meta kinds and _flush advances
-            # _next_due before emitting. The recorder's row list takes
-            # every span; with kept spans its list is this tracer's
-            # own. Outcome and trigger kinds reach the plane from their
-            # branches of the fold chain below.
-            if time >= live._next_due and not live._emitting:
-                live._flush(time)
-            ring_append = live._ring_append
-            if ring_append is not None:
-                ring_append((kind, time, query_id, attrs))
-        if self.keep_spans:
-            self.spans.append(Span(kind, time, query_id, attrs))
+        # The live plane's one span hook, as RecordingTracer.emit has
+        # it: a span past a snapshot boundary flushes it before it is
+        # stored or folded, then it is stored once, as a row. Outcome
+        # and trigger kinds reach the plane from their branches of the
+        # fold chain below.
+        if live is not None and time >= live._next_due and not live._emitting:
+            live._flush(time)
+        rows = self.rows
+        if rows is not None:
+            rows.append((kind, time, query_id, attrs))
         if time > self.end_time:
             self.end_time = time
         metrics = self.metrics

@@ -2,7 +2,10 @@
 
 import json
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.obs import spans as sp
@@ -10,7 +13,6 @@ from repro.obs.export import (
     chrome_trace_events,
     metrics_to_prometheus,
     parse_prometheus_text,
-    prometheus_text,
     read_spans_jsonl,
     write_chrome_trace,
     write_prometheus,
@@ -188,7 +190,7 @@ class TestPrometheus:
         return reg
 
     def test_families_and_types(self):
-        text = prometheus_text(self.registry())
+        text = metrics_to_prometheus(self.registry())
         assert "# TYPE repro_queries_completed counter" in text
         assert "repro_queries_completed 12.0" in text
         assert "# TYPE repro_buffer_depth gauge" in text
@@ -201,7 +203,7 @@ class TestPrometheus:
     def test_names_are_sanitized(self):
         reg = MetricsRegistry()
         reg.counter("tasks.failed.crash").inc()
-        text = prometheus_text(reg)
+        text = metrics_to_prometheus(reg)
         assert "repro_tasks_failed_crash 1.0" in text
         # Exposition names: [a-zA-Z_][a-zA-Z0-9_]* — no dots survive.
         for line in text.splitlines():
@@ -213,7 +215,7 @@ class TestPrometheus:
     def test_empty_histogram_is_nan(self):
         reg = MetricsRegistry()
         reg.histogram("query.latency_s")
-        text = prometheus_text(reg)
+        text = metrics_to_prometheus(reg)
         assert 'quantile="0.5"} NaN' in text
         assert "repro_query_latency_s_count 0" in text
 
@@ -260,6 +262,62 @@ class TestPrometheus:
         assert samples["repro_query_latency_s_sum"][()] == pytest.approx(
             sum(v / 100.0 for v in range(100))
         )
+
+    def test_rendering_never_steers_the_registry(self):
+        # A /metrics scrape renders the serving tracer's registry mid-run:
+        # a registry rendered every 300 adds ends exactly as its twin
+        # that was never rendered.
+        values = np.random.default_rng(7).lognormal(-4.0, 0.6, 5000)
+        scraped, quiet = MetricsRegistry(), MetricsRegistry()
+        for i, value in enumerate(values):
+            for registry in (scraped, quiet):
+                registry.histogram("query.latency_s").add(value)
+            if i % 300 == 299:
+                metrics_to_prometheus(scraped)
+        assert (
+            scraped.histogram("query.latency_s").checkpoint()
+            == quiet.histogram("query.latency_s").checkpoint()
+        )
+        assert metrics_to_prometheus(scraped) == metrics_to_prometheus(quiet)
+
+    def test_a_scrape_racing_the_run_never_steers_it(self):
+        # The /metrics thread renders while the serving thread adds.
+        values = np.random.default_rng(9).lognormal(-4.0, 0.6, 20_000)
+        scraped, quiet = MetricsRegistry(), MetricsRegistry()
+        hist = scraped.histogram("query.latency_s")
+        done = threading.Event()
+        scrapes = []
+
+        def scrape():
+            while not done.is_set():
+                scrapes.append(metrics_to_prometheus(scraped))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scraper = threading.Thread(target=scrape)
+        try:
+            scraper.start()
+            for value in values:
+                hist.add(value)
+        finally:
+            done.set()
+            scraper.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not scraper.is_alive() and scrapes
+        twin = quiet.histogram("query.latency_s")
+        for value in values:
+            twin.add(value)
+        assert hist.checkpoint() == twin.checkpoint()
+
+    def test_quantiles_read_as_if_the_digest_were_compressed(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("query.latency_s")
+        for value in np.random.default_rng(8).lognormal(-4.0, 0.6, 2500):
+            hist.add(value)
+        text = metrics_to_prometheus(registry)
+        for q in (0.5, 0.95, 0.99):
+            expected = f'{{quantile="{q}"}} {hist.quantile(q)!r}'
+            assert expected in text
 
     def test_label_escaping_roundtrip(self):
         nasty = 'a\\b"c\nd'

@@ -2,10 +2,11 @@
 
 Covers the snapshot stream (cadence windows, delta encoding, digest
 checkpoints, fleet rollup), the anomaly watchdog, the flight recorder
-in both stores (per-span deque vs a view over the tracer's span list,
-one hook path), incident freezing (triggers, cooldown, caps), windows
-that end at their boundary in a served run, bundle serialization, and
-the determinism contract (:func:`incident_fingerprint`).
+under both ``keep_spans`` settings (one store, the tracer's rows,
+trimmed only when spans are not kept), incident freezing (triggers,
+cooldown, caps), windows that end at their boundary in a served run,
+bundle serialization, and the determinism contract
+(:func:`incident_fingerprint`).
 """
 
 import copy
@@ -21,6 +22,7 @@ from repro.faults import FaultPlan
 from repro.obs.digest import QuantileDigest
 from repro.obs.live import (
     INCIDENT_SCHEMA,
+    META_KINDS,
     AnomalyWatchdog,
     LiveConfig,
     LiveTelemetry,
@@ -481,32 +483,73 @@ class TestIncidents:
 
 
 class TestStorageModeParity:
-    def _run(self, keep_spans):
-        live = LiveTelemetry(incident_config())
+    """The two ``keep_spans`` settings share one store, the tracer's
+    rows, and differ only in whether boundaries trim them: both freeze
+    the same bundles and cut the same snapshots. A small ring makes the
+    unkept rows trim, and a trigger opening each window reaches back
+    across its boundary, whichever boundaries trimmed."""
+
+    CAP = 8
+    #: Non-meta spans :meth:`_run` emits: six windows of six arrival +
+    #: complete pairs, five ``worker_down`` and a reject and a breach.
+    N_SPANS = 6 * 12 + 5 + 2
+
+    def _run(self, keep_spans, after_window=None):
+        live = LiveTelemetry(incident_config(ring_capacity=self.CAP))
         tracer = RecordingTracer(keep_spans=keep_spans, live=live)
-        feed_window(tracer, 0.0, n=6)
-        tracer.emit(REJECT, 0.8, 77)
-        tracer.emit(SLO_BREACH, 0.9, -1, burn=3.0)
-        feed_window(tracer, 1.0, n=4)
-        tracer.emit(WORKER_DOWN, 1.8, -1, worker=2, until=2.5)
-        tracer.finalize(2.0)
+        for w in range(6):
+            if w > 0:
+                tracer.emit(
+                    WORKER_DOWN, w + 0.01, -1, worker=w, until=w + 0.5
+                )
+            feed_window(tracer, float(w), n=6)
+            if w == 2:
+                tracer.emit(REJECT, 2.8, 77)
+                tracer.emit(SLO_BREACH, 2.9, -1, burn=3.0)
+            if after_window is not None:
+                after_window(live.recorder, float(w))
+        tracer.finalize(6.0)
         return live
 
-    def test_modes_selected_by_keep_spans(self):
-        assert self._run(True).recorder._span_list is not None
-        assert self._run(False).recorder._span_list is None
+    def test_unkept_rows_trim_and_kept_rows_hold_every_span(self):
+        sizes = []
+
+        def after_window(recorder, start):
+            in_window = sum(1 for row in recorder.rows if row[1] >= start)
+            sizes.append((len(recorder.rows), in_window))
+
+        unkept = self._run(False, after_window).recorder
+        assert len(sizes) == 6
+        for n_rows, in_window in sizes:
+            assert n_rows <= 3 * self.CAP + in_window
+        assert unkept.base > 0  # the boundaries trimmed
+        kept = self._run(True).recorder
+        assert kept.base == 0
+        assert sum(row[0] not in META_KINDS for row in kept.rows) == (
+            self.N_SPANS
+        )
+        assert kept.rows[unkept.base:] == unkept.rows
 
     def test_bundles_identical_across_modes(self):
         kept = self._run(True)
-        deque_mode = self._run(False)
-        assert len(kept.incidents) == len(deque_mode.incidents) == 2
-        for a, b in zip(kept.incidents, deque_mode.incidents):
+        unkept = self._run(False)
+        assert len(kept.incidents) == len(unkept.incidents) == 6
+        for a, b in zip(kept.incidents, unkept.incidents):
+            assert a["window"]["spans"] == self.CAP
             assert incident_fingerprint(a) == incident_fingerprint(b)
+        downs = [
+            a for a in kept.incidents if a["trigger"]["kind"] == WORKER_DOWN
+        ]
+        assert len(downs) == 5
+        for bundle in downs:
+            start = math.floor(bundle["trigger"]["time"])
+            assert bundle["spans"][0]["time"] < start
 
     def test_snapshots_identical_across_modes(self):
         kept = [s.to_dict() for s in self._run(True).snapshots]
-        deq = [s.to_dict() for s in self._run(False).snapshots]
-        assert kept == deq
+        unkept = [s.to_dict() for s in self._run(False).snapshots]
+        assert len(kept) == 6
+        assert kept == unkept
 
     def test_same_feed_gives_identical_fingerprints(self):
         a = self._run(True)
@@ -516,8 +559,9 @@ class TestStorageModeParity:
 
     def _watchdog_run(self, keep_spans):
         live = LiveTelemetry(LiveConfig(
-            cadence=1.0, baseline_windows=2, anomaly_min_events=5,
-            anomaly_latency_factor=2.0, incident_cooldown=0.0,
+            cadence=1.0, ring_capacity=self.CAP, baseline_windows=2,
+            anomaly_min_events=5, anomaly_latency_factor=2.0,
+            incident_cooldown=0.0,
         ))
         tracer = RecordingTracer(keep_spans=keep_spans, live=live)
         for w in range(2):
@@ -531,21 +575,23 @@ class TestStorageModeParity:
 
     def test_watchdog_bundles_identical_across_modes(self):
         kept = self._watchdog_run(True)
-        deque_mode = self._watchdog_run(False)
+        unkept = self._watchdog_run(False)
         assert [b["trigger"]["kind"] for b in kept.incidents] == [ANOMALY]
-        assert len(deque_mode.incidents) == 1
+        assert len(unkept.incidents) == 1
+        assert unkept.recorder.base > 0
         bundle = kept.incidents[0]
         assert bundle["window"]["end"] == 3.0
+        assert bundle["window"]["spans"] == self.CAP
         assert bundle["spans"][-1]["time"] < 3.0
         assert incident_fingerprint(bundle) == incident_fingerprint(
-            deque_mode.incidents[0]
+            unkept.incidents[0]
         )
 
     def test_watchdog_snapshots_identical_across_modes(self):
         kept = [s.to_dict() for s in self._watchdog_run(True).snapshots]
-        deq = [s.to_dict() for s in self._watchdog_run(False).snapshots]
+        unkept = [s.to_dict() for s in self._watchdog_run(False).snapshots]
         assert len(kept) == 4
-        assert kept == deq
+        assert kept == unkept
 
 
 class TestServedWindowsEndAtTheirBoundary:

@@ -69,6 +69,7 @@ class TestRecordingTracer:
         tr = RecordingTracer(keep_spans=False)
         tr.emit(sp.ARRIVAL, 0.0, 0)
         assert tr.spans == []
+        assert tr.rows is None
         assert tr.metrics.counter("queries.arrived").value == 1
 
     def test_reject_counts(self):
